@@ -43,10 +43,16 @@ using ZCoeffs = ZCoeffsT<double>;
 
 // The three source-term cell updates below are the *single* definition of
 // the PW arithmetic in this repository. The scalar reference, the threaded
-// CPU baseline, both vendor-style dataflow kernels and the reduced-
-// precision variants all inline these functions, so every implementation
-// at a given precision is bit-identical by construction (the property the
-// functional tests assert).
+// CPU baseline, both vendor-style dataflow kernels, the stencil machine and
+// the reduced-precision variants all inline these functions, so every
+// implementation at a given precision is bit-identical by construction (the
+// property the functional tests assert).
+//
+// They are templates over the window `W`: anything with `u`, `v`, `w`
+// members whose `at(dx, dy, dz)` reads one field's 27-point neighbourhood —
+// a gathered CellStencilsT, the shift buffer's registers in place, or a
+// strided view of the grid's own storage. The arithmetic cannot tell them
+// apart, so one definition serves every view.
 //
 // `top` marks the column-top cell: the U and V terms drop their tzc2
 // contribution there (paper Listing 1), reducing the per-cell FLOP count
@@ -54,9 +60,8 @@ using ZCoeffs = ZCoeffsT<double>;
 // above-lid halo.
 
 /// U source term: 21 FLOPs (17 at the column top).
-template <typename T>
-T advect_u_cell(const CellStencilsT<T>& s, T tcx, T tcy,
-                const ZCoeffsT<T>& z, bool top) {
+template <typename T, typename W>
+T advect_u_cell(const W& s, T tcx, T tcy, const ZCoeffsT<T>& z, bool top) {
   const auto& u = s.u;
   const auto& v = s.v;
   const auto& w = s.w;
@@ -74,9 +79,8 @@ T advect_u_cell(const CellStencilsT<T>& s, T tcx, T tcy,
 }
 
 /// V source term: 21 FLOPs (17 at the column top).
-template <typename T>
-T advect_v_cell(const CellStencilsT<T>& s, T tcx, T tcy,
-                const ZCoeffsT<T>& z, bool top) {
+template <typename T, typename W>
+T advect_v_cell(const W& s, T tcx, T tcy, const ZCoeffsT<T>& z, bool top) {
   const auto& u = s.u;
   const auto& v = s.v;
   const auto& w = s.w;
@@ -94,9 +98,8 @@ T advect_v_cell(const CellStencilsT<T>& s, T tcx, T tcy,
 }
 
 /// W source term: 21 FLOPs at every level (above-lid neighbours are zero).
-template <typename T>
-T advect_w_cell(const CellStencilsT<T>& s, T tcx, T tcy,
-                const ZCoeffsT<T>& z) {
+template <typename T, typename W>
+T advect_w_cell(const W& s, T tcx, T tcy, const ZCoeffsT<T>& z) {
   const auto& u = s.u;
   const auto& v = s.v;
   const auto& w = s.w;
@@ -119,11 +122,12 @@ struct CellSourcesT {
 };
 using CellSources = CellSourcesT<double>;
 
-template <typename T>
-CellSourcesT<T> advect_cell(const CellStencilsT<T>& s, T tcx, T tcy,
-                            const ZCoeffsT<T>& z, bool top) {
-  return {advect_u_cell(s, tcx, tcy, z, top),
-          advect_v_cell(s, tcx, tcy, z, top), advect_w_cell(s, tcx, tcy, z)};
+template <typename T, typename W>
+CellSourcesT<T> advect_cell(const W& s, T tcx, T tcy, const ZCoeffsT<T>& z,
+                            bool top) {
+  return {advect_u_cell<T>(s, tcx, tcy, z, top),
+          advect_v_cell<T>(s, tcx, tcy, z, top),
+          advect_w_cell<T>(s, tcx, tcy, z)};
 }
 
 }  // namespace pw::advect

@@ -345,8 +345,10 @@ class SolveFuture;    // pw/api/request.hpp
 /// declared stencil kernel — every run instrumented through the same
 /// MetricsRegistry (a `solve/<backend>` span plus whatever the backend
 /// layers emit). options().kernel_spec selects the kernel (PW advection by
-/// default); the low-level entry points (advect_reference,
-/// run_kernel_fused, stencil::run_diffusion, ...) remain available for
+/// default). Every kernel's fused, multi_kernel and host_overlap backends
+/// run stencil::run_pass, so advection reports `stencil.advect_pw.*` like
+/// the declared kernels. The low-level entry points (advect_reference,
+/// stencil::run_pass, stencil::run_diffusion, ...) remain available for
 /// code that needs the raw stats structs.
 ///
 /// The request form is the primary surface: pack fields (+ coefficients

@@ -7,13 +7,12 @@
 #include "pw/advect/flops.hpp"
 #include "pw/api/request.hpp"
 #include "pw/fault/injector.hpp"
-#include "pw/kernel/fused.hpp"
-#include "pw/kernel/multi_kernel.hpp"
 #include "pw/kernel/pipeline_graph.hpp"
 #include "pw/kernel/vectorized.hpp"
 #include "pw/lint/checks.hpp"
 #include "pw/obs/span.hpp"
 #include "pw/ocl/host_driver.hpp"
+#include "pw/stencil/advect.hpp"
 #include "pw/stencil/spec.hpp"
 #include "pw/util/thread_pool.hpp"
 
@@ -361,9 +360,6 @@ SolveResult Solver::solve(const SolveRequest& request) const {
   obs::MetricsRegistry& registry =
       options.metrics != nullptr ? *options.metrics : local_registry;
 
-  kernel::KernelConfig kernel_config = options.kernel;
-  kernel_config.metrics = &registry;
-
   advect::SourceTerms terms(dims);
   const auto wall_start = std::chrono::steady_clock::now();
   try {
@@ -392,12 +388,9 @@ SolveResult Solver::solve(const SolveRequest& request) const {
           break;
         }
         case Backend::kFused:
-          kernel::run_kernel_fused(state, coefficients, terms, kernel_config);
-          break;
         case Backend::kMultiKernel:
-          kernel::run_multi_kernel(
-              state, coefficients, terms, kernel_config,
-              options.backend.get_if<MultiKernelOptions>()->kernels);
+          stencil::run_advect(state, coefficients, terms,
+                              engine_for(options, registry));
           break;
         case Backend::kHostOverlap: {
           const HostOptions& host = *options.backend.get_if<HostOptions>();
@@ -406,14 +399,14 @@ SolveResult Solver::solve(const SolveRequest& request) const {
           host_config.overlapped = host.overlapped;
           host_config.timing = host.timing;
           host_config.kernel_time_model = host.kernel_time_model;
-          host_config.kernel = kernel_config;  // the single construction point
+          host_config.kernel = options.kernel;  // the single construction point
           host_config.metrics = &registry;
           ocl::advect_via_host(state, coefficients, terms, host_config);
           break;
         }
         case Backend::kVectorized:
           kernel::run_kernel_vectorized_f32(
-              state, coefficients, terms, kernel_config,
+              state, coefficients, terms, options.kernel,
               options.backend.get_if<VectorizedOptions>()->lanes);
           break;
       }

@@ -5,7 +5,6 @@
 
 #include "pw/advect/flops.hpp"
 #include "pw/kernel/chunking.hpp"
-#include "pw/kernel/multi_kernel.hpp"
 #include "pw/obs/metrics.hpp"
 
 namespace pw::fpga {

@@ -38,6 +38,14 @@ public:
   std::size_t halo() const noexcept { return halo_; }
   std::size_t cells() const noexcept { return dims_.cells(); }
   std::size_t bytes_interior() const noexcept { return cells() * sizeof(T); }
+  /// Elements between neighbouring x-planes and y-columns (z is contiguous)
+  /// — what a strided view of a cell's neighbourhood steps by.
+  std::ptrdiff_t stride_i() const noexcept {
+    return static_cast<std::ptrdiff_t>(stride_i_);
+  }
+  std::ptrdiff_t stride_j() const noexcept {
+    return static_cast<std::ptrdiff_t>(stride_j_);
+  }
 
   /// Signed access including halos; i/j/k in [-halo, n+halo).
   T& at(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "pw/grid/geometry.hpp"
+#include "pw/kernel/config.hpp"
 
 namespace pw::kernel {
 
@@ -54,5 +55,11 @@ private:
   std::size_t chunk_y_ = 0;
   std::vector<YChunk> chunks_;
 };
+
+/// Splits the interior x-planes into `kernels` near-equal slabs, one per
+/// kernel instance (§IV: six kernels on the Alveo, five on the Stratix 10).
+/// Each slab additionally streams its own +/-1 halo planes. `kernels` is
+/// clamped to nx, so no slab is empty.
+std::vector<XRange> partition_x(std::size_t nx, std::size_t kernels);
 
 }  // namespace pw::kernel

@@ -21,10 +21,9 @@ struct KernelConfig {
   /// Depth of the inter-stage FIFOs (HLS stream depth).
   std::size_t stream_depth = 16;
 
-  /// Optional metrics sink: kernel runs publish values-streamed /
-  /// stencils-emitted / chunk counters and stencils-per-second gauges
-  /// under `kernel.*` (thread-safe, so concurrent multi-kernel instances
-  /// may share one registry). Not owned; must outlive the run.
+  /// Optional metrics sink: the vendor frontends publish their streams'
+  /// traffic and occupancy statistics here (thread-safe). Not owned; must
+  /// outlive the run.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

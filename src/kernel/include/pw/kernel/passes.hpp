@@ -1,0 +1,231 @@
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+
+#include "pw/advect/reference.hpp"
+#include "pw/advect/scheme.hpp"
+#include "pw/grid/init.hpp"
+#include "pw/kernel/chunking.hpp"
+#include "pw/kernel/config.hpp"
+#include "pw/kernel/shift_buffer.hpp"
+
+namespace pw::kernel {
+
+/// Grid coordinates of the cell an op is computing (interior, 0-based).
+struct CellCtx {
+  std::ptrdiff_t i = 0;
+  std::ptrdiff_t j = 0;
+  std::ptrdiff_t k = 0;
+};
+
+/// Per-pass accounting, the stencil counterpart of KernelRunStats. Every
+/// count is additive, so partial passes (X slabs, sweeps) sum with +=.
+struct PassStats {
+  std::uint64_t cells = 0;            ///< interior cells written
+  std::uint64_t values_streamed = 0;  ///< raster positions consumed per field
+  /// Raster values consumed over every streamed field: values_streamed
+  /// times the number of shift buffers the pass fed (the op's kFieldsIn).
+  std::uint64_t field_values_streamed = 0;
+  std::uint64_t stencils_emitted = 0;  ///< windows completed (fused engines)
+  std::uint64_t chunks = 0;
+  std::uint64_t batches = 0;  ///< lane batches (kLaneBatched only)
+
+  PassStats& operator+=(const PassStats& other) {
+    cells += other.cells;
+    values_streamed += other.values_streamed;
+    field_values_streamed += other.field_values_streamed;
+    stencils_emitted += other.stencils_emitted;
+    chunks += other.chunks;
+    batches += other.batches;
+    return *this;
+  }
+};
+
+/// An op's input: the first N (2 or 3) of the (u, v, w) fields around one
+/// cell, each a 27-point neighbourhood `S` with `at(dx, dy, dz)` and
+/// `centre()`.
+template <typename S, std::size_t N>
+struct Window;
+template <typename S>
+struct Window<S, 2> {
+  S u;
+  S v;
+};
+template <typename S>
+struct Window<S, 3> {
+  S u;
+  S v;
+  S w;
+};
+
+/// One field's 27-point neighbourhood read in place from the grid through
+/// its strides (z is contiguous) — the direct pass's gather-free view.
+struct GridStencil {
+  const double* centre_ptr = nullptr;
+  std::ptrdiff_t stride_i = 0;
+  std::ptrdiff_t stride_j = 0;
+
+  double at(int dx, int dy, int dz) const {
+    return centre_ptr[dx * stride_i + dy * stride_j + dz];
+  }
+  double centre() const { return *centre_ptr; }
+};
+
+namespace detail {
+
+/// The first N of three fields: an op's inputs of (u, v, w) or its outputs
+/// of (su, sv, sw).
+template <std::size_t N, typename Field>
+std::array<Field*, N> first(Field& a, Field& b, Field& c) {
+  static_assert(N >= 1 && N <= 3, "ops read and write 1 to 3 fields");
+  const std::array<Field*, 3> all{&a, &b, &c};
+  std::array<Field*, N> head{};
+  std::copy_n(all.begin(), N, head.begin());
+  return head;
+}
+
+template <std::size_t N, typename FieldStencil, std::size_t... I>
+auto make_window(const FieldStencil& field, std::index_sequence<I...>) {
+  return Window<decltype(field(std::size_t{0})), N>{field(I)...};
+}
+
+/// Window<S, N>{field(0), ..., field(N - 1)}, S being what `field` returns.
+template <std::size_t N, typename FieldStencil>
+auto make_window(const FieldStencil& field) {
+  return make_window<N>(field, std::make_index_sequence<N>{});
+}
+
+template <std::size_t... I>
+std::array<ShiftBuffer3D, sizeof...(I)> make_buffers(
+    std::size_t ny_padded, std::size_t nz_padded, std::index_sequence<I...>) {
+  return {((void)I, ShiftBuffer3D(ny_padded, nz_padded))...};
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// The two primitive passes. An Op declares its field arity and maps one
+// cell's Window<S, kFieldsIn> to its outputs:
+//
+//   static constexpr std::size_t kFieldsIn;   // reads the first of u, v, w
+//   static constexpr std::size_t kFieldsOut;  // writes the first of su, sv, sw
+//   template <typename W>
+//   std::array<double, kFieldsOut> operator()(const W&, const CellCtx&) const
+//
+// Both passes hand the op the same values for every cell and the op is one
+// template over the view, so every engine is bit-equal to the scalar
+// reference that evaluates the op's expression over direct reads.
+
+/// Direct pass: for each interior cell in `xr`, apply the op to strided
+/// views of the fields' own storage — no per-cell gather or copy. This is
+/// the access pattern of advect_reference, generalised.
+template <typename Op>
+void pass_direct(const grid::WindState& in, advect::SourceTerms& out,
+                 const Op& op, XRange xr, PassStats* stats = nullptr) {
+  constexpr std::size_t kIn = Op::kFieldsIn;
+  constexpr std::size_t kOut = Op::kFieldsOut;
+  const auto fields = detail::first<kIn>(in.u, in.v, in.w);
+  const auto results = detail::first<kOut>(out.su, out.sv, out.sw);
+  const auto ny = static_cast<std::ptrdiff_t>(in.u.ny());
+  const auto nz = static_cast<std::ptrdiff_t>(in.u.nz());
+
+  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(xr.begin);
+       i < static_cast<std::ptrdiff_t>(xr.end); ++i) {
+    for (std::ptrdiff_t j = 0; j < ny; ++j) {
+      std::array<const double*, kIn> column{};
+      for (std::size_t f = 0; f < kIn; ++f) {
+        column[f] = &fields[f]->at(i, j, 0);
+      }
+      std::array<double*, kOut> dst{};
+      for (std::size_t o = 0; o < kOut; ++o) {
+        dst[o] = &results[o]->at(i, j, 0);
+      }
+      for (std::ptrdiff_t k = 0; k < nz; ++k) {
+        const auto window = detail::make_window<kIn>([&](std::size_t f) {
+          return GridStencil{column[f] + k, fields[f]->stride_i(),
+                             fields[f]->stride_j()};
+        });
+        const std::array<double, kOut> values = op(window, CellCtx{i, j, k});
+        for (std::size_t o = 0; o < kOut; ++o) {
+          dst[o][k] = values[o];
+        }
+      }
+    }
+  }
+  if (stats != nullptr) {
+    stats->cells += static_cast<std::uint64_t>(xr.width()) *
+                    static_cast<std::uint64_t>(ny * nz);
+  }
+}
+
+/// Streaming pass: the Fig. 2/3 machine — raster the padded slab through
+/// one shift buffer per input field, chunk by chunk, and apply the op to
+/// the buffers' registers in place whenever a window completes. Only the
+/// op's kFieldsIn fields are streamed and only its kFieldsOut are stored.
+template <typename Op>
+void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
+                    const Op& op, std::size_t chunk_y, XRange xr,
+                    PassStats* stats = nullptr) {
+  constexpr std::size_t kIn = Op::kFieldsIn;
+  constexpr std::size_t kOut = Op::kFieldsOut;
+  const grid::GridDims dims = in.u.dims();
+  const ChunkPlan plan(dims, chunk_y);
+  const auto fields = detail::first<kIn>(in.u, in.v, in.w);
+  const auto results = detail::first<kOut>(out.su, out.sv, out.sw);
+  const auto nz_padded = static_cast<std::ptrdiff_t>(dims.nz) + 2;
+
+  PassStats pass;
+  for (const YChunk& chunk : plan.chunks()) {
+    auto buffers = detail::make_buffers(chunk.padded_width(), dims.nz + 2,
+                                        std::make_index_sequence<kIn>{});
+    const auto window = detail::make_window<kIn>(
+        [&](std::size_t f) -> const advect::Stencil27& {
+          return buffers[f].window();
+        });
+    const auto x_lo = static_cast<std::ptrdiff_t>(xr.begin) - 1;
+    const auto x_hi = static_cast<std::ptrdiff_t>(xr.end) + 1;  // exclusive
+    const auto j_lo = static_cast<std::ptrdiff_t>(chunk.j_begin) - 1;
+    const auto j_hi = static_cast<std::ptrdiff_t>(chunk.j_end) + 1;
+
+    for (std::ptrdiff_t i = x_lo; i < x_hi; ++i) {
+      for (std::ptrdiff_t j = j_lo; j < j_hi; ++j) {
+        // Each field's padded z-column, fed bottom halo to top halo.
+        std::array<const double*, kIn> column{};
+        for (std::size_t f = 0; f < kIn; ++f) {
+          column[f] = &fields[f]->at(i, j, -1);
+        }
+        for (std::ptrdiff_t z = 0; z < nz_padded; ++z) {
+          bool complete = false;
+          for (std::size_t f = 0; f < kIn; ++f) {
+            complete = buffers[f].advance(column[f][z]);
+          }
+          if (!complete) {
+            continue;
+          }
+          // The window is centred one plane, column and cell behind the
+          // value just consumed (padded z index z is global k = z - 1).
+          const CellCtx cell{i - 1, j - 1, z - 2};
+          const std::array<double, kOut> values = op(window, cell);
+          for (std::size_t o = 0; o < kOut; ++o) {
+            results[o]->at(cell.i, cell.j, cell.k) = values[o];
+          }
+          ++pass.cells;
+        }
+      }
+    }
+    pass.values_streamed += static_cast<std::uint64_t>(
+        (x_hi - x_lo) * (j_hi - j_lo) * nz_padded);
+    ++pass.chunks;
+  }
+  pass.stencils_emitted = pass.cells;
+  pass.field_values_streamed = pass.values_streamed * kIn;
+  if (stats != nullptr) {
+    *stats += pass;
+  }
+}
+
+}  // namespace pw::kernel

@@ -54,8 +54,8 @@ lint::PipelineGraph describe_cycle_pipeline(const grid::GridDims& dims,
                                             const CycleSimConfig& config,
                                             std::size_t kernels = 1);
 
-/// Graph of the multi-kernel *launch* (run_multi_kernel): N fused-kernel
-/// bodies that share no streams — each is a detached, internally
+/// Graph of the multi-kernel *launch* (the stencil machine's multi-instance
+/// engine): N fused-kernel bodies that share no streams — each is a detached, internally
 /// stream-connected unit, so only stage-level checks apply.
 lint::PipelineGraph describe_multi_kernel_launch(std::size_t kernels);
 

@@ -28,7 +28,8 @@ namespace pw::kernel {
 ///    write (this is the array the Intel port had to split into separate
 ///    banks to reach II=1, paper §III.B).
 ///  * `regs_` — per slice, a 3x3 register window shifting in Z; registers in
-///    both Vitis and Quartus, no partitioning needed.
+///    both Vitis and Quartus, no partitioning needed. Stored in window
+///    order, so the completed window is read in place (`window()`).
 ///
 /// The buffer is sized by the *padded* chunk face (interior + 2 halo), so
 /// on-chip memory is bounded by the Y-chunk and Z sizes only (Fig. 4).
@@ -54,25 +55,17 @@ public:
     window_.assign(3 * nz_, {T{}, T{}, T{}});
   }
 
-  /// A completed stencil, centred on padded coordinates (ci, cj, ck).
-  /// The centre is always one plane/column/cell behind the raster input.
-  struct Output {
-    advect::Stencil27T<T> stencil;
-    std::size_t ci = 0;
-    std::size_t cj = 0;
-    std::size_t ck = 0;
-  };
-
-  /// Consumes the next raster value. Returns a stencil once the window
-  /// around some cell is complete (i.e. from the third plane onwards, for
+  /// Consumes the next raster value in place. Returns true when window()
+  /// now holds a complete stencil (i.e. from the third plane onwards, for
   /// centres away from the raster edges). Because the padded face is the
-  /// interior plus a 1-deep halo, every emitted centre is an interior cell
-  /// and the emission count is exactly interior_cells — no caller-side
-  /// filtering is needed.
-  std::optional<Output> push(T value) {
+  /// interior plus a 1-deep halo, every completed window is centred on an
+  /// interior cell and the count of completions is exactly interior_cells —
+  /// no caller-side filtering is needed.
+  bool advance(T value) {
     PW_HLS_PIPELINE_II(1);
     const std::size_t j = in_j_;
     const std::size_t k = in_k_;
+    const bool complete = next_would_emit();
 
     // 1. X shift: the new value replaces the top slice's cell, displaced
     //    values cascade to the older slices (blue -> orange -> green in the
@@ -87,11 +80,13 @@ public:
     //    3-wide column window at height k. The 3-tuple row is one element,
     //    so this is one read + one write on the 2D array.
     // 3. Z shift: the 3-tuple is pushed into the slice's 3x3 registers.
+    //    Slice s holds plane (in_i - s), i.e. x offset 1 - s from the
+    //    centre plane (in_i - 1): window row 2 - s.
+    const T incoming[3] = {value, from_top, from_mid};
     for (std::size_t s = 0; s < 3; ++s) {
       auto& row = window_at(s, k);
-      const T incoming = s == 0 ? value : (s == 1 ? from_top : from_mid);
-      row = {row[1], row[2], incoming};
-      auto& reg = regs_[s];
+      row = {row[1], row[2], incoming[s]};
+      auto& reg = regs_.v[2 - s];
       for (std::size_t y = 0; y < 3; ++y) {
         reg[y][0] = reg[y][1];
         reg[y][1] = reg[y][2];
@@ -99,33 +94,38 @@ public:
       }
     }
 
-    std::optional<Output> out;
-    if (in_i_ >= 2 && j >= 2 && k >= 2) {
-      Output o;
-      o.ci = in_i_ - 1;
-      o.cj = j - 1;
-      o.ck = k - 1;
-      // regs_[s][y][z] holds plane (in_i - s), column (j - 2 + y),
-      // height (k - 2 + z); the centre is (in_i - 1, j - 1, k - 1).
-      for (int dx = -1; dx <= 1; ++dx) {
-        for (int dy = -1; dy <= 1; ++dy) {
-          for (int dz = -1; dz <= 1; ++dz) {
-            o.stencil.at(dx, dy, dz) =
-                regs_[static_cast<std::size_t>(1 - dx)]
-                     [static_cast<std::size_t>(1 + dy)]
-                     [static_cast<std::size_t>(1 + dz)];
-          }
-        }
-      }
-      out = o;
-    }
-
     advance_raster();
-    return out;
+    return complete;
   }
 
-  /// Whether the *next* push will emit a stencil — lets a cycle-level stage
-  /// check output-FIFO space before consuming its input.
+  /// The 27-point window the registers hold, indexed (dx, dy, dz) around
+  /// the centre one plane/column/cell behind the last value consumed.
+  /// Complete whenever the last advance() returned true.
+  const advect::Stencil27T<T>& window() const noexcept { return regs_; }
+
+  /// A completed stencil, centred on padded coordinates (ci, cj, ck).
+  /// The centre is always one plane/column/cell behind the raster input.
+  struct Output {
+    advect::Stencil27T<T> stencil;
+    std::size_t ci = 0;
+    std::size_t cj = 0;
+    std::size_t ck = 0;
+  };
+
+  /// advance() plus a copy of the completed window and its centre — the
+  /// form the cycle-level stages and vendor frontends pass through FIFOs.
+  std::optional<Output> push(T value) {
+    const std::size_t i = in_i_;
+    const std::size_t j = in_j_;
+    const std::size_t k = in_k_;
+    if (!advance(value)) {
+      return std::nullopt;
+    }
+    return Output{regs_, i - 1, j - 1, k - 1};
+  }
+
+  /// Whether the *next* advance/push completes a window — lets a
+  /// cycle-level stage check output-FIFO space before consuming its input.
   bool next_would_emit() const noexcept {
     return in_i_ >= 2 && in_j_ >= 2 && in_k_ >= 2;
   }
@@ -164,8 +164,9 @@ private:
   // window_[s][k] = the 3 most recent y-columns' values at height k for
   // slice s; [0] oldest (y-2), [2] newest (y).
   std::vector<std::array<T, 3>> window_;
-  // regs_[s][y][z], y/z in 0..2; z index 2 is the newest (deepest) value.
-  std::array<std::array<std::array<T, 3>, 3>, 3> regs_{};
+  // The window in (dx, dy, dz) order; z index 2 is the newest (deepest)
+  // value.
+  advect::Stencil27T<T> regs_{};
 
   T& slab_at(std::size_t s, std::size_t j, std::size_t k) {
     return slab_[(s * ny_ + j) * nz_ + k];
@@ -205,19 +206,13 @@ public:
 
   std::optional<Output> push(T u, T v, T w) {
     auto ou = u_.push(u);
-    auto ov = v_.push(v);
-    auto ow = w_.push(w);
+    v_.advance(v);
+    w_.advance(w);
     if (!ou) {
       return std::nullopt;
     }
-    Output out;
-    out.stencils.u = ou->stencil;
-    out.stencils.v = ov->stencil;
-    out.stencils.w = ow->stencil;
-    out.ci = ou->ci;
-    out.cj = ou->cj;
-    out.ck = ou->ck;
-    return out;
+    return Output{{ou->stencil, v_.window(), w_.window()}, ou->ci, ou->cj,
+                  ou->ck};
   }
 
   bool next_would_emit() const noexcept { return u_.next_would_emit(); }

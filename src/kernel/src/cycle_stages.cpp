@@ -8,7 +8,6 @@
 #include "pw/dataflow/streams.hpp"
 #include "pw/dataflow/stage.hpp"
 #include "pw/kernel/chunking.hpp"
-#include "pw/kernel/multi_kernel.hpp"
 #include "pw/kernel/packets.hpp"
 #include "pw/kernel/pipeline_graph.hpp"
 #include "pw/kernel/shift_buffer.hpp"

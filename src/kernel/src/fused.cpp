@@ -1,17 +1,11 @@
 #include "pw/kernel/fused.hpp"
 
-#include <chrono>
 #include <stdexcept>
-
-#include "pw/advect/scheme.hpp"
-#include "pw/kernel/chunking.hpp"
-#include "pw/kernel/shift_buffer.hpp"
-#include "pw/obs/metrics.hpp"
 
 namespace pw::kernel {
 
 KernelRunStats run_kernel_fused(const grid::WindState& state,
-                                const advect::PwCoefficients& c,
+                                const advect::PwCoefficients& coefficients,
                                 advect::SourceTerms& out,
                                 const KernelConfig& config,
                                 std::optional<XRange> xrange) {
@@ -23,70 +17,10 @@ KernelRunStats run_kernel_fused(const grid::WindState& state,
   if (state.u.halo() < 1) {
     throw std::invalid_argument("run_kernel_fused: halo >= 1 required");
   }
-
-  const ChunkPlan plan(dims, config.chunk_y);
-  const auto nz = dims.nz;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  KernelRunStats stats;
-  stats.chunks = plan.chunks().size();
-
-  for (const YChunk& chunk : plan.chunks()) {
-    TripleShiftBuffer buffer(chunk.padded_width(), nz + 2);
-    const auto jb = static_cast<std::ptrdiff_t>(chunk.j_begin);
-    const auto x_lo = static_cast<std::ptrdiff_t>(xr.begin) - 1;
-    const auto x_hi = static_cast<std::ptrdiff_t>(xr.end) + 1;  // exclusive
-    const auto j_lo = jb - 1;
-    const auto j_hi = static_cast<std::ptrdiff_t>(chunk.j_end) + 1;
-
-    for (std::ptrdiff_t i = x_lo; i < x_hi; ++i) {
-      for (std::ptrdiff_t j = j_lo; j < j_hi; ++j) {
-        for (std::ptrdiff_t k = -1; k <= static_cast<std::ptrdiff_t>(nz);
-             ++k) {
-          ++stats.values_streamed_per_field;
-          auto emitted = buffer.push(state.u.at(i, j, k), state.v.at(i, j, k),
-                                     state.w.at(i, j, k));
-          if (!emitted) {
-            continue;
-          }
-          ++stats.stencils_emitted;
-          // Padded centre coordinates -> global interior coordinates.
-          const auto gi = x_lo + static_cast<std::ptrdiff_t>(emitted->ci);
-          const auto gj = j_lo + static_cast<std::ptrdiff_t>(emitted->cj);
-          const auto gk = static_cast<std::ptrdiff_t>(emitted->ck) - 1;
-          const bool top = gk == static_cast<std::ptrdiff_t>(nz) - 1;
-          const advect::ZCoeffs z{c.tzc1[static_cast<std::size_t>(gk)],
-                                  c.tzc2[static_cast<std::size_t>(gk)],
-                                  c.tzd1[static_cast<std::size_t>(gk)],
-                                  c.tzd2[static_cast<std::size_t>(gk)]};
-          const advect::CellSources sources =
-              advect::advect_cell(emitted->stencils, c.tcx, c.tcy, z, top);
-          out.su.at(gi, gj, gk) = sources.su;
-          out.sv.at(gi, gj, gk) = sources.sv;
-          out.sw.at(gi, gj, gk) = sources.sw;
-        }
-      }
-    }
-  }
-  if (config.metrics != nullptr) {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    config.metrics->counter_add("kernel.runs");
-    config.metrics->counter_add("kernel.values_streamed_per_field",
-                                stats.values_streamed_per_field);
-    config.metrics->counter_add("kernel.stencils_emitted",
-                                stats.stencils_emitted);
-    config.metrics->counter_add("kernel.chunks", stats.chunks);
-    config.metrics->observe("kernel.run_seconds", seconds);
-    if (seconds > 0.0) {
-      config.metrics->observe(
-          "kernel.stencils_per_s",
-          static_cast<double>(stats.stencils_emitted) / seconds);
-    }
-  }
-  return stats;
+  PassStats pass;
+  pass_streaming(state, out, AdvectOp(coefficients, dims.nz), config.chunk_y,
+                 xr, &pass);
+  return {pass.values_streamed, pass.stencils_emitted, pass.chunks};
 }
 
 }  // namespace pw::kernel

@@ -40,7 +40,9 @@ struct HostDriverConfig {
   ///    `host/chunk/read` (one per X-chunk, timed on the simulated
   ///    device timeline, flagged `modelled`);
   ///  * counters `host.bytes_written`, `host.bytes_read`, `host.chunks`;
-  ///  * gauge `host.makespan_s` (modelled end-to-end seconds).
+  ///  * gauge `host.makespan_s` (modelled end-to-end seconds);
+  ///  * the `stencil.advect_pw.*` counters and pass span of the kernel
+  ///    body, one stencil-machine fused pass per X-chunk.
   /// Not owned; must outlive the call.
   obs::MetricsRegistry* metrics = nullptr;
 };

@@ -7,10 +7,10 @@
 #include <vector>
 
 #include "pw/fault/injector.hpp"
-#include "pw/kernel/fused.hpp"
-#include "pw/kernel/multi_kernel.hpp"
+#include "pw/kernel/chunking.hpp"
 #include "pw/obs/metrics.hpp"
 #include "pw/obs/span.hpp"
+#include "pw/stencil/advect.hpp"
 
 namespace pw::ocl {
 
@@ -142,13 +142,15 @@ HostDriverResult advect_via_host(const grid::WindState& state,
                                  : 0.0;
     ChunkStage* st = &stage;
     const auto* coeffs = &coefficients;
-    const auto kcfg = config.kernel;
+    const stencil::EngineConfig engine{.engine = stencil::Engine::kFused,
+                                       .chunk_y = config.kernel.chunk_y,
+                                       .metrics = config.metrics};
     const Event kernel_done = queue.enqueue_kernel(
         "advect_chunk_" + std::to_string(c),
-        [st, coeffs, kcfg] {
+        [st, coeffs, engine] {
           // Reconstruct the slab as local fields (same memory layout), run
-          // the real dataflow datapath, then expose results in the device
-          // output buffers.
+          // the stencil machine's streaming pass on it, then expose results
+          // in the device output buffers.
           grid::WindState slab(st->slab_dims);
           std::memcpy(slab.u.raw().data(), st->dev_u->device_view().data(),
                       st->dev_u->bytes());
@@ -157,7 +159,7 @@ HostDriverResult advect_via_host(const grid::WindState& state,
           std::memcpy(slab.w.raw().data(), st->dev_w->device_view().data(),
                       st->dev_w->bytes());
           advect::SourceTerms sources(st->slab_dims);
-          kernel::run_kernel_fused(slab, *coeffs, sources, kcfg);
+          stencil::run_advect(slab, *coeffs, sources, engine);
           std::memcpy(st->dev_su->device_view().data(),
                       sources.su.raw().data(), st->dev_su->bytes());
           std::memcpy(st->dev_sv->device_view().data(),

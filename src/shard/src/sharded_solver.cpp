@@ -387,19 +387,11 @@ api::SolveResult ShardedSolver::run_partition(
     }
 
     if (poisson) {
-      // The sweep's output becomes the next sweep's guess; its halo
-      // refresh happens at the top of the next iteration's exchange.
+      // The sweep's output becomes the next sweep's guess (ping-pong). The
+      // next exchange refreshes its internal halos; its z and domain-edge
+      // halos stay zero, as passes write interiors only.
       for (Shard& shard : shards) {
-        for (std::ptrdiff_t i = 0;
-             i < static_cast<std::ptrdiff_t>(shard.extent.nx()); ++i) {
-          for (std::ptrdiff_t j = 0;
-               j < static_cast<std::ptrdiff_t>(shard.extent.ny()); ++j) {
-            for (std::ptrdiff_t k = 0;
-                 k < static_cast<std::ptrdiff_t>(dims.nz); ++k) {
-              shard.state.u.at(i, j, k) = shard.out.su.at(i, j, k);
-            }
-          }
-        }
+        std::swap(shard.state.u, shard.out.su);
       }
     }
   }

@@ -3,41 +3,23 @@
 #include "pw/advect/coefficients.hpp"
 #include "pw/advect/reference.hpp"
 #include "pw/grid/init.hpp"
+#include "pw/kernel/fused.hpp"
 #include "pw/stencil/machine.hpp"
 
 namespace pw::stencil {
 
-/// The declared spec of the paper's PW advection kernel, re-expressed on
-/// the stencil template (also reachable via find_stencil("advect_pw")).
-/// The production advection backends keep their proven dedicated paths in
-/// src/kernel; this expression exists so the template demonstrably covers
-/// the original workload (the differential test holds run_advect to
-/// kernel::run_kernel_fused bit-for-bit) and so advection's lint graph,
-/// fault site and perf entry flow from the same registry as every other
-/// kernel.
+/// The declared spec of the paper's PW advection kernel (also reachable via
+/// find_stencil("advect_pw")). api::Solver's fused, multi_kernel and
+/// host_overlap advection backends run on this machine, and advection's
+/// lint graph, fault site and perf entry flow from the same registry.
 const StencilSpec& advect_spec();
 
-/// The advection per-cell op on the template: advect_cell with the
-/// per-level Z coefficients looked up from the cell's k (exactly what the
-/// fused kernel inlines).
-struct AdvectOp {
-  const advect::PwCoefficients* c = nullptr;
-  std::ptrdiff_t nz = 0;
-
-  AdvectOp(const advect::PwCoefficients& coefficients, std::size_t levels)
-      : c(&coefficients), nz(static_cast<std::ptrdiff_t>(levels)) {}
-
-  advect::CellSources operator()(const advect::CellStencils& s,
-                                 const CellCtx& cell) const {
-    const auto gk = static_cast<std::size_t>(cell.k);
-    const advect::ZCoeffs z{c->tzc1[gk], c->tzc2[gk], c->tzd1[gk],
-                            c->tzd2[gk]};
-    return advect::advect_cell(s, c->tcx, c->tcy, z, cell.k == nz - 1);
-  }
-};
+/// The advection per-cell op, defined beside the passes in pw::kernel so
+/// kernel::run_kernel_fused can forward to the same streaming pass.
+using kernel::AdvectOp;
 
 /// One advection solve on the stencil machine. Bit-identical to
-/// advect_reference and kernel::run_kernel_fused on every engine.
+/// advect_reference on every engine.
 PassStats run_advect(const grid::WindState& state,
                      const advect::PwCoefficients& coefficients,
                      advect::SourceTerms& out, const EngineConfig& config);

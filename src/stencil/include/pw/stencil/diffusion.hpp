@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 #include "pw/advect/reference.hpp"
@@ -31,6 +32,9 @@ const StencilSpec& diffusion_spec();
 /// all double-precision paths are bit-identical by construction (the same
 /// contract advect_cell gives the advection backends).
 struct DiffusionOp {
+  static constexpr std::size_t kFieldsIn = 3;   ///< u, v, w
+  static constexpr std::size_t kFieldsOut = 3;  ///< su, sv, sw
+
   double cx = 0.0;  ///< kappa / dx^2
   double cy = 0.0;
   double cz = 0.0;
@@ -40,16 +44,17 @@ struct DiffusionOp {
         cy(p.kappa / (p.dy * p.dy)),
         cz(p.kappa / (p.dz * p.dz)) {}
 
-  template <typename T>
-  T lap(const advect::Stencil27T<T>& s) const {
-    const T c = s.centre();
+  template <typename S>
+  double lap(const S& s) const {
+    const double c = s.centre();
     return cx * (s.at(-1, 0, 0) + s.at(+1, 0, 0) - 2.0 * c) +
            cy * (s.at(0, -1, 0) + s.at(0, +1, 0) - 2.0 * c) +
            cz * (s.at(0, 0, -1) + s.at(0, 0, +1) - 2.0 * c);
   }
 
-  advect::CellSources operator()(const advect::CellStencils& s,
-                                 const CellCtx&) const {
+  template <typename W>
+  std::array<double, kFieldsOut> operator()(const W& s,
+                                            const CellCtx&) const {
     return {lap(s.u), lap(s.v), lap(s.w)};
   }
 };

@@ -1,19 +1,16 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <future>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "pw/advect/reference.hpp"
-#include "pw/advect/scheme.hpp"
 #include "pw/fault/injector.hpp"
 #include "pw/grid/init.hpp"
 #include "pw/kernel/chunking.hpp"
-#include "pw/kernel/config.hpp"
-#include "pw/kernel/multi_kernel.hpp"
-#include "pw/kernel/shift_buffer.hpp"
+#include "pw/kernel/passes.hpp"
 #include "pw/obs/metrics.hpp"
 #include "pw/obs/span.hpp"
 #include "pw/stencil/spec.hpp"
@@ -27,8 +24,8 @@ namespace pw::stencil {
 /// bit-identical by construction (the property the differential tests
 /// assert per kernel).
 enum class Engine {
-  kReference,      ///< serial direct-gather loop (the readable oracle path)
-  kThreaded,       ///< X-partitioned direct-gather on a ThreadPool
+  kReference,      ///< serial direct pass (the readable oracle path)
+  kThreaded,       ///< X-partitioned direct pass on a ThreadPool
   kFused,          ///< Fig. 2/3 shift-buffer streaming machine, one instance
   kMultiInstance,  ///< N concurrent shift-buffer instances over X slabs
   kChunkedHost,    ///< sequential X-chunked shift-buffer slabs (host driver)
@@ -45,122 +42,12 @@ struct EngineConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Per-pass accounting, the stencil counterpart of KernelRunStats.
-struct PassStats {
-  std::uint64_t cells = 0;             ///< interior cells written
-  std::uint64_t values_streamed = 0;   ///< per-field raster values consumed
-  std::uint64_t stencils_emitted = 0;  ///< windows completed (fused engines)
-  std::uint64_t chunks = 0;
-  std::uint64_t batches = 0;  ///< lane batches (kLaneBatched only)
-};
-
-/// Grid coordinates of the cell an op is computing (interior, 0-based).
-struct CellCtx {
-  std::ptrdiff_t i = 0;
-  std::ptrdiff_t j = 0;
-  std::ptrdiff_t k = 0;
-};
-
-// ---------------------------------------------------------------------------
-// The two primitive passes. An Op is any callable
-//
-//   advect::CellSources operator()(const advect::CellStencils&,
-//                                  const CellCtx&) const
-//
-// mapping one cell's 27-point input windows (u/v/w fields) to its three
-// output values. Both passes feed the op identical stencil values for every
-// cell — the direct gather below reads exactly the neighbourhood the shift
-// buffer's window would hold — so their outputs are bit-equal, which is how
-// every engine inherits conformance with the kernel's scalar reference.
-
-/// Direct-gather pass: for each interior cell in `xr`, gather the three
-/// 27-point windows straight from the fields and apply the op. This is the
-/// access pattern of advect_reference_stencil, generalised.
-template <typename Op>
-void pass_direct(const grid::WindState& in, advect::SourceTerms& out,
-                 const Op& op, kernel::XRange xr, PassStats* stats = nullptr) {
-  const grid::GridDims dims = in.u.dims();
-  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(xr.begin);
-       i < static_cast<std::ptrdiff_t>(xr.end); ++i) {
-    for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(dims.ny);
-         ++j) {
-      for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(dims.nz);
-           ++k) {
-        advect::CellStencils s;
-        for (int dx = -1; dx <= 1; ++dx) {
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dz = -1; dz <= 1; ++dz) {
-              s.u.at(dx, dy, dz) = in.u.at(i + dx, j + dy, k + dz);
-              s.v.at(dx, dy, dz) = in.v.at(i + dx, j + dy, k + dz);
-              s.w.at(dx, dy, dz) = in.w.at(i + dx, j + dy, k + dz);
-            }
-          }
-        }
-        const advect::CellSources sources = op(s, CellCtx{i, j, k});
-        out.su.at(i, j, k) = sources.su;
-        out.sv.at(i, j, k) = sources.sv;
-        out.sw.at(i, j, k) = sources.sw;
-        if (stats != nullptr) {
-          ++stats->cells;
-        }
-      }
-    }
-  }
-}
-
-/// Streaming pass: the Fig. 2/3 machine — raster the padded slab through a
-/// triple shift buffer chunk by chunk, apply the op to each emitted window.
-/// Extracted from the advection fused kernel; the only advection-specific
-/// part (the per-cell arithmetic) is now the op.
-template <typename Op>
-void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
-                    const Op& op, std::size_t chunk_y, kernel::XRange xr,
-                    PassStats* stats = nullptr) {
-  const grid::GridDims dims = in.u.dims();
-  const kernel::ChunkPlan plan(dims, chunk_y);
-  const auto nz = dims.nz;
-
-  for (const kernel::YChunk& chunk : plan.chunks()) {
-    kernel::TripleShiftBuffer buffer(chunk.padded_width(), nz + 2);
-    const auto jb = static_cast<std::ptrdiff_t>(chunk.j_begin);
-    const auto x_lo = static_cast<std::ptrdiff_t>(xr.begin) - 1;
-    const auto x_hi = static_cast<std::ptrdiff_t>(xr.end) + 1;  // exclusive
-    const auto j_lo = jb - 1;
-    const auto j_hi = static_cast<std::ptrdiff_t>(chunk.j_end) + 1;
-
-    for (std::ptrdiff_t i = x_lo; i < x_hi; ++i) {
-      for (std::ptrdiff_t j = j_lo; j < j_hi; ++j) {
-        for (std::ptrdiff_t k = -1; k <= static_cast<std::ptrdiff_t>(nz);
-             ++k) {
-          if (stats != nullptr) {
-            ++stats->values_streamed;
-          }
-          auto emitted =
-              buffer.push(in.u.at(i, j, k), in.v.at(i, j, k), in.w.at(i, j, k));
-          if (!emitted) {
-            continue;
-          }
-          // Padded centre coordinates -> global interior coordinates.
-          const auto gi = x_lo + static_cast<std::ptrdiff_t>(emitted->ci);
-          const auto gj = j_lo + static_cast<std::ptrdiff_t>(emitted->cj);
-          const auto gk = static_cast<std::ptrdiff_t>(emitted->ck) - 1;
-          const advect::CellSources sources =
-              op(emitted->stencils, CellCtx{gi, gj, gk});
-          out.su.at(gi, gj, gk) = sources.su;
-          out.sv.at(gi, gj, gk) = sources.sv;
-          out.sw.at(gi, gj, gk) = sources.sw;
-          if (stats != nullptr) {
-            ++stats->stencils_emitted;
-            ++stats->cells;
-          }
-        }
-      }
-    }
-    if (stats != nullptr) {
-      ++stats->chunks;
-    }
-  }
-}
+// The two passes, the window views an op reads and the per-pass accounting
+// live beside the shift buffer in pw::kernel (kernel/passes.hpp), so the
+// kernel layer's own entry points run the same loops; this layer adds the
+// engines that schedule them.
+using kernel::CellCtx;
+using kernel::PassStats;
 
 // ---------------------------------------------------------------------------
 // The engine dispatcher: one sweep of `op` over the grid under `config`,
@@ -168,11 +55,18 @@ void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
 // kernel inherits. Throws fault::FaultError when the kernel's site is armed
 // with a hard fault (the api layer converts that to SolveError::kBackendFault
 // so the serve retry/failover ladder applies to stencil kernels unchanged).
+// The op's declared arity must be the spec's, so the lint graph, perf entry
+// and halo exchange derived from the spec describe what the engines stream;
+// a mismatch throws std::invalid_argument.
 
 template <typename Op>
 PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
                    advect::SourceTerms& out, const Op& op,
                    const EngineConfig& config) {
+  if (Op::kFieldsIn != spec.fields_in || Op::kFieldsOut != spec.fields_out) {
+    throw std::invalid_argument("run_pass: op field arity differs from spec " +
+                                spec.name);
+  }
   fault::throw_if(fault_site(spec));
 
   const grid::GridDims dims = in.u.dims();
@@ -186,7 +80,7 @@ PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
 
   switch (config.engine) {
     case Engine::kReference:
-      pass_direct(in, out, op, full, &stats);
+      kernel::pass_direct(in, out, op, full, &stats);
       break;
     case Engine::kThreaded:
     case Engine::kMultiInstance: {
@@ -200,10 +94,10 @@ PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
       for (std::size_t r = 0; r < ranges.size(); ++r) {
         done.push_back(pool.submit([&, r] {
           if (streaming) {
-            pass_streaming(in, out, op, config.chunk_y, ranges[r],
-                           &partial[r]);
+            kernel::pass_streaming(in, out, op, config.chunk_y, ranges[r],
+                                   &partial[r]);
           } else {
-            pass_direct(in, out, op, ranges[r], &partial[r]);
+            kernel::pass_direct(in, out, op, ranges[r], &partial[r]);
           }
         }));
       }
@@ -211,21 +105,18 @@ PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
         f.get();
       }
       for (const PassStats& p : partial) {
-        stats.cells += p.cells;
-        stats.values_streamed += p.values_streamed;
-        stats.stencils_emitted += p.stencils_emitted;
-        stats.chunks += p.chunks;
+        stats += p;
       }
       break;
     }
     case Engine::kFused:
-      pass_streaming(in, out, op, config.chunk_y, full, &stats);
+      kernel::pass_streaming(in, out, op, config.chunk_y, full, &stats);
       break;
     case Engine::kChunkedHost: {
       const auto ranges = kernel::partition_x(
           dims.nx, config.x_chunks == 0 ? 1 : config.x_chunks);
       for (const kernel::XRange& slab : ranges) {
-        pass_streaming(in, out, op, config.chunk_y, slab, &stats);
+        kernel::pass_streaming(in, out, op, config.chunk_y, slab, &stats);
       }
       break;
     }
@@ -233,7 +124,7 @@ PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
       // Lane batching shapes the traversal accounting (how many vector
       // batches a lane-parallel datapath would issue); the arithmetic stays
       // double so the engine remains bit-identical to the reference.
-      pass_direct(in, out, op, full, &stats);
+      kernel::pass_direct(in, out, op, full, &stats);
       const std::size_t lanes = config.lanes == 0 ? 1 : config.lanes;
       stats.batches = (stats.cells + lanes - 1) / lanes;
       break;

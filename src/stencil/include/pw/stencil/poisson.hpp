@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 #include "pw/advect/reference.hpp"
@@ -31,9 +32,14 @@ const StencilSpec& poisson_spec();
 
 /// One Jacobi update, shared by the scalar reference and every engine:
 /// u' = ((u[i-1]+u[i+1])*cx + (u[j-1]+u[j+1])*cy + (u[k-1]+u[k+1])*cz
-///       - rhs) / (2cx + 2cy + 2cz), reading the guess from the u stencil
-/// and the right-hand side from the v stencil's centre.
+///       - rhs) / (2cx + 2cy + 2cz), reading the guess from the u window
+/// and the right-hand side from the v window's centre. It reads two fields
+/// and writes one, so the streaming engines feed two shift buffers and
+/// store only su.
 struct PoissonOp {
+  static constexpr std::size_t kFieldsIn = 2;   ///< guess u, right-hand side v
+  static constexpr std::size_t kFieldsOut = 1;  ///< updated guess su
+
   double cx = 0.0;  ///< 1 / dx^2
   double cy = 0.0;
   double cz = 0.0;
@@ -45,12 +51,13 @@ struct PoissonOp {
         cz(1.0 / (p.dz * p.dz)),
         inv_diag(1.0 / (2.0 * cx + 2.0 * cy + 2.0 * cz)) {}
 
-  advect::CellSources operator()(const advect::CellStencils& s,
-                                 const CellCtx&) const {
+  template <typename W>
+  std::array<double, kFieldsOut> operator()(const W& s,
+                                            const CellCtx&) const {
     const double sum = (s.u.at(-1, 0, 0) + s.u.at(+1, 0, 0)) * cx +
                        (s.u.at(0, -1, 0) + s.u.at(0, +1, 0)) * cy +
                        (s.u.at(0, 0, -1) + s.u.at(0, 0, +1)) * cz;
-    return {(sum - s.v.centre()) * inv_diag, 0.0, 0.0};
+    return {(sum - s.v.centre()) * inv_diag};
   }
 };
 
@@ -60,9 +67,11 @@ void poisson_reference(const grid::WindState& state,
                        const PoissonParams& params, advect::SourceTerms& out);
 
 /// `iterations` Jacobi sweeps on the stencil machine under `config`; each
-/// sweep is one machine pass (with its own fault-site check), halos
-/// re-zeroed between sweeps per the kernel's Dirichlet boundary rule. All
-/// engines are bit-identical to poisson_reference.
+/// sweep is one machine pass (with its own fault-site check) from one
+/// ping-pong guess field into the other. Passes write interiors only, so
+/// both keep the Dirichlet-zero halos the boundary rule asks for. sv and sw
+/// are zeroed once at the end. All engines are bit-identical to
+/// poisson_reference.
 PassStats run_poisson(const grid::WindState& state,
                       const PoissonParams& params, advect::SourceTerms& out,
                       const EngineConfig& config);
@@ -72,8 +81,8 @@ PassStats run_poisson(const grid::WindState& state,
 /// entry for pw::shard, whose halo-exchange layer owns the halo contents
 /// (neighbour-shard interiors at internal boundaries, the boundary rule
 /// only at true domain edges). state.u is the current guess including
-/// halos, state.v the right-hand side; the updated guess lands in out.su.
-/// params.iterations is ignored (the caller sequences sweeps around its
+/// halos, state.v the right-hand side; the updated guess lands in out.su
+/// (out.sv and out.sw are not written). params.iterations is ignored (the caller sequences sweeps around its
 /// exchanges).
 PassStats run_poisson_sweep(const grid::WindState& state,
                             const PoissonParams& params,

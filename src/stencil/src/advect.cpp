@@ -12,8 +12,8 @@ const StencilSpec& advect_spec() {
         "Piacsek-Williams advection of the three wind fields (paper Fig. 2)";
     s.radius = 1;
     s.points = 27;
-    s.fields_in = 3;
-    s.fields_out = 3;
+    s.fields_in = AdvectOp::kFieldsIn;
+    s.fields_out = AdvectOp::kFieldsOut;
     s.flops_per_cell = static_cast<double>(advect::kFlopsPerCell);
     s.sweeps = 1;
     s.boundary = BoundaryRule::kPeriodicXY_RigidZ;

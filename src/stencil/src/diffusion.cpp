@@ -10,8 +10,8 @@ const StencilSpec& diffusion_spec() {
         "7-point explicit diffusion tendency for all three wind fields";
     s.radius = 1;
     s.points = 7;
-    s.fields_in = 3;
-    s.fields_out = 3;
+    s.fields_in = DiffusionOp::kFieldsIn;
+    s.fields_out = DiffusionOp::kFieldsOut;
     s.flops_per_cell = kDiffusionFlopsPerCell;
     s.sweeps = 1;
     s.boundary = BoundaryRule::kPeriodicXY_RigidZ;

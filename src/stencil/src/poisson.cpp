@@ -1,6 +1,7 @@
 #include "pw/stencil/poisson.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace pw::stencil {
 
@@ -12,8 +13,8 @@ const StencilSpec& poisson_spec() {
         "Jacobi iteration for lap(u) = rhs with Dirichlet-zero boundaries";
     s.radius = 1;
     s.points = 7;
-    s.fields_in = 2;   // guess + right-hand side
-    s.fields_out = 1;  // updated guess
+    s.fields_in = PoissonOp::kFieldsIn;
+    s.fields_out = PoissonOp::kFieldsOut;
     s.flops_per_cell = kPoissonFlopsPerCell;
     s.sweeps = 8;  // representative; per-request iterations override it
     s.boundary = BoundaryRule::kDirichletZero;
@@ -100,25 +101,19 @@ PassStats run_poisson(const grid::WindState& state,
                       const PoissonParams& params, advect::SourceTerms& out,
                       const EngineConfig& config) {
   const grid::GridDims dims = state.u.dims();
-  // work.u carries the evolving guess (Dirichlet-zero halos), work.v the
-  // right-hand side; work.w stays zero and rides along unused — the machine
-  // streams field triples, matching the Fig. 2 datapath.
+  // work.u carries the evolving guess, work.v the right-hand side; each
+  // sweep writes the next guess into next.su and the two swap. Both keep
+  // the zero halos they were constructed with: passes write interiors only.
   grid::WindState work(dims);
   copy_interior(state.u, work.u);
   copy_interior(state.v, work.v);
 
-  advect::SourceTerms sweep_out(dims);
+  advect::SourceTerms next(dims);
   PassStats total;
   const std::size_t iterations = std::max<std::size_t>(1, params.iterations);
   for (std::size_t sweep = 0; sweep < iterations; ++sweep) {
-    const PassStats pass =
-        run_pass(poisson_spec(), work, sweep_out, PoissonOp(params), config);
-    total.cells += pass.cells;
-    total.values_streamed += pass.values_streamed;
-    total.stencils_emitted += pass.stencils_emitted;
-    total.chunks += pass.chunks;
-    total.batches += pass.batches;
-    copy_interior(sweep_out.su, work.u);
+    total += run_pass(poisson_spec(), work, next, PoissonOp(params), config);
+    std::swap(work.u, next.su);
   }
   copy_interior(work.u, out.su);
   zero_interior(out.sv);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "pw/kernel/chunking.hpp"
-#include "pw/kernel/multi_kernel.hpp"
 
 namespace pw::kernel {
 namespace {

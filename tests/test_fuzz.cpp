@@ -16,8 +16,8 @@
 #include "pw/kernel/cycle_stages.hpp"
 #include "pw/kernel/fused.hpp"
 #include "pw/kernel/intel_frontend.hpp"
-#include "pw/kernel/multi_kernel.hpp"
 #include "pw/kernel/xilinx_frontend.hpp"
+#include "pw/stencil/advect.hpp"
 #include "pw/util/rng.hpp"
 
 namespace pw {
@@ -69,7 +69,11 @@ TEST_P(FuzzSweep, AllImplementationsBitExact) {
     ASSERT_TRUE(grid::compare_interior(reference.sw, fused.sw).bit_equal());
 
     advect::SourceTerms multi(s.dims);
-    kernel::run_multi_kernel(state, coefficients, multi, config, s.kernels);
+    stencil::EngineConfig multi_config;
+    multi_config.engine = stencil::Engine::kMultiInstance;
+    multi_config.chunk_y = s.chunk_y;
+    multi_config.instances = s.kernels;
+    stencil::run_advect(state, coefficients, multi, multi_config);
     ASSERT_TRUE(grid::compare_interior(reference.su, multi.su).bit_equal());
 
     advect::SourceTerms legacy(s.dims);

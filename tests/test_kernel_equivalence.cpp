@@ -7,8 +7,8 @@
 #include "pw/grid/compare.hpp"
 #include "pw/kernel/fused.hpp"
 #include "pw/kernel/intel_frontend.hpp"
-#include "pw/kernel/multi_kernel.hpp"
 #include "pw/kernel/xilinx_frontend.hpp"
+#include "pw/stencil/advect.hpp"
 
 namespace pw::kernel {
 namespace {
@@ -155,12 +155,24 @@ TEST(IntelFrontend, MatchesXilinxBitExactly) {
       grid::compare_interior(xilinx_out.sw, intel_out.sw).bit_equal());
 }
 
+/// The multi-instance engine of the stencil machine: `kernels` concurrent
+/// shift-buffer instances over X slabs, each streaming its own halo planes.
+stencil::PassStats run_multi_instance(const Harness& s,
+                                      advect::SourceTerms& out,
+                                      std::size_t chunk_y,
+                                      std::size_t kernels) {
+  stencil::EngineConfig config;
+  config.engine = stencil::Engine::kMultiInstance;
+  config.chunk_y = chunk_y;
+  config.instances = kernels;
+  return stencil::run_advect(*s.state, s.coefficients, out, config);
+}
+
 TEST(MultiKernel, MatchesReferenceAcrossKernelCounts) {
   Harness s({24, 8, 8});
   for (std::size_t kernels : {1u, 2u, 5u, 6u}) {
     advect::SourceTerms out({24, 8, 8});
-    const auto stats = run_multi_kernel(*s.state, s.coefficients, out,
-                                        KernelConfig{4}, kernels);
+    const auto stats = run_multi_instance(s, out, 4, kernels);
     s.expect_equal(out);
     EXPECT_EQ(stats.stencils_emitted, 24u * 8 * 8) << kernels << " kernels";
   }
@@ -170,14 +182,12 @@ TEST(MultiKernel, StreamsHaloPlanesPerKernel) {
   Harness s({8, 4, 4});
   advect::SourceTerms one({8, 4, 4});
   advect::SourceTerms four({8, 4, 4});
-  const auto stats1 =
-      run_multi_kernel(*s.state, s.coefficients, one, KernelConfig{0}, 1);
-  const auto stats4 =
-      run_multi_kernel(*s.state, s.coefficients, four, KernelConfig{0}, 4);
+  const auto stats1 = run_multi_instance(s, one, 0, 1);
+  const auto stats4 = run_multi_instance(s, four, 0, 4);
   // 4 kernels re-stream 2 halo planes each vs 1 kernel's 2 total:
   // (2+2)*4 vs (8+2) planes of (ny+2)(nz+2) values.
-  EXPECT_EQ(stats1.values_streamed_per_field, 10u * 6 * 6);
-  EXPECT_EQ(stats4.values_streamed_per_field, 16u * 6 * 6);
+  EXPECT_EQ(stats1.values_streamed, 10u * 6 * 6);
+  EXPECT_EQ(stats4.values_streamed, 16u * 6 * 6);
 }
 
 class ChunkSweep : public ::testing::TestWithParam<std::size_t> {};

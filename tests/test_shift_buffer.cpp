@@ -12,6 +12,9 @@ namespace {
 
 /// Streams a padded (nxp x nyp x nzp) volume of synthetic values through a
 /// ShiftBuffer3D and checks every emitted stencil against direct indexing.
+/// A second buffer is fed the same values through advance(): at every step
+/// it must complete exactly when push() emits, its in-place window() must
+/// match direct indexing, and push()'s copy must equal that window.
 void check_volume(std::size_t nxp, std::size_t nyp, std::size_t nzp,
                   std::uint64_t seed) {
   // Synthetic volume with unique values per position.
@@ -25,6 +28,7 @@ void check_volume(std::size_t nxp, std::size_t nyp, std::size_t nzp,
   };
 
   ShiftBuffer3D buffer(nyp, nzp);
+  ShiftBuffer3D stepped(nyp, nzp);
   std::size_t emitted = 0;
   std::size_t expected_next = 0;
   // Expected emission order: centres in raster order over the interior.
@@ -40,7 +44,10 @@ void check_volume(std::size_t nxp, std::size_t nyp, std::size_t nzp,
   for (std::size_t i = 0; i < nxp; ++i) {
     for (std::size_t j = 0; j < nyp; ++j) {
       for (std::size_t k = 0; k < nzp; ++k) {
+        const bool complete = stepped.advance(at(i, j, k));
         auto out = buffer.push(at(i, j, k));
+        ASSERT_EQ(complete, out.has_value())
+            << "step (" << i << "," << j << "," << k << ")";
         if (!out) {
           continue;
         }
@@ -49,16 +56,24 @@ void check_volume(std::size_t nxp, std::size_t nyp, std::size_t nzp,
         EXPECT_EQ(out->ci, ci);
         EXPECT_EQ(out->cj, cj);
         EXPECT_EQ(out->ck, ck);
+        const advect::Stencil27& window = stepped.window();
         for (int dx = -1; dx <= 1; ++dx) {
           for (int dy = -1; dy <= 1; ++dy) {
             for (int dz = -1; dz <= 1; ++dz) {
-              ASSERT_DOUBLE_EQ(
-                  out->stencil.at(dx, dy, dz),
+              const double expected =
                   at(ci + static_cast<std::size_t>(dx),
                      cj + static_cast<std::size_t>(dy),
-                     ck + static_cast<std::size_t>(dz)))
+                     ck + static_cast<std::size_t>(dz));
+              ASSERT_DOUBLE_EQ(out->stencil.at(dx, dy, dz), expected)
                   << "centre (" << ci << "," << cj << "," << ck << ") offset ("
                   << dx << "," << dy << "," << dz << ")";
+              ASSERT_DOUBLE_EQ(window.at(dx, dy, dz), expected)
+                  << "window() at centre (" << ci << "," << cj << "," << ck
+                  << ") offset (" << dx << "," << dy << "," << dz << ")";
+              ASSERT_EQ(out->stencil.at(dx, dy, dz), window.at(dx, dy, dz))
+                  << "push() vs advance()+window() at centre (" << ci << ","
+                  << cj << "," << ck << ") offset (" << dx << "," << dy
+                  << "," << dz << ")";
             }
           }
         }

@@ -97,8 +97,9 @@ TEST(SolverApi, KernelBackendsReportKernelCounters) {
   const Fixture f;
   const auto result = run(f, api::Backend::kFused);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result.metrics.counters.at("kernel.stencils_emitted"), 0u);
-  EXPECT_EQ(result.metrics.counters.at("kernel.runs"), 1u);
+  EXPECT_GT(result.metrics.counters.at("stencil.advect_pw.stencils_emitted"),
+            0u);
+  EXPECT_EQ(result.metrics.counters.at("stencil.advect_pw.passes"), 1u);
 }
 
 TEST(SolverApi, HostOverlapReportsChunkSpansAndBytes) {

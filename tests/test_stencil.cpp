@@ -6,10 +6,15 @@
 // failover. Plus the registry derivations (lint graph, perf model, obs
 // names, fault sites) and the cache-keying regression that a cached
 // advection result is never served for a diffusion request carrying the
-// identical payload.
+// identical payload. A seeded sweep over degenerate grids (any side 1..10)
+// holds every registry kernel on every engine to its scalar reference, so
+// an off-by-one at a chunk or slab edge of the strided views shows up here
+// (and under the sanitizer builds that run the `stencil` label).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "pw/fpga/perf_model.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/grid/init.hpp"
+#include "pw/kernel/chunking.hpp"
 #include "pw/kernel/fused.hpp"
 #include "pw/kernel/pipeline_graph.hpp"
 #include "pw/lint/checks.hpp"
@@ -28,6 +34,7 @@
 #include "pw/stencil/advect.hpp"
 #include "pw/stencil/diffusion.hpp"
 #include "pw/stencil/poisson.hpp"
+#include "pw/util/rng.hpp"
 
 namespace {
 
@@ -83,6 +90,49 @@ void expect_bit_equal(const advect::SourceTerms& reference,
   EXPECT_TRUE(dw.bit_equal()) << label << ": sw mismatches=" << dw.mismatches;
 }
 
+constexpr std::array<stencil::Engine, 6> kAllEngines = {
+    stencil::Engine::kReference,     stencil::Engine::kThreaded,
+    stencil::Engine::kFused,         stencil::Engine::kMultiInstance,
+    stencil::Engine::kChunkedHost,   stencil::Engine::kLaneBatched};
+
+advect::PwCoefficients coefficients_for(const grid::GridDims& dims) {
+  return advect::PwCoefficients::from_geometry(
+      grid::Geometry::uniform(dims, 100.0, 80.0, 40.0));
+}
+
+/// Registry kernel `spec` by its scalar reference (Poisson:
+/// `poisson.iterations` sweeps).
+void solve_reference(const stencil::StencilSpec& spec,
+                     const grid::WindState& state,
+                     const advect::PwCoefficients& coefficients,
+                     const stencil::PoissonParams& poisson,
+                     advect::SourceTerms& out) {
+  if (spec.name == "advect_pw") {
+    advect::advect_reference(state, coefficients, out);
+  } else if (spec.name == "diffusion") {
+    stencil::diffusion_reference(state, stencil::DiffusionParams{}, out);
+  } else {
+    stencil::poisson_reference(state, poisson, out);
+  }
+}
+
+/// Registry kernel `spec` on the stencil machine under `config`.
+stencil::PassStats solve_on_machine(const stencil::StencilSpec& spec,
+                                    const grid::WindState& state,
+                                    const advect::PwCoefficients& coefficients,
+                                    const stencil::PoissonParams& poisson,
+                                    advect::SourceTerms& out,
+                                    const stencil::EngineConfig& config) {
+  if (spec.name == "advect_pw") {
+    return stencil::run_advect(state, coefficients, out, config);
+  }
+  if (spec.name == "diffusion") {
+    return stencil::run_diffusion(state, stencil::DiffusionParams{}, out,
+                                  config);
+  }
+  return stencil::run_poisson(state, poisson, out, config);
+}
+
 // ---------------------------------------------------------------------------
 // Differential conformance vs the scalar references, across every backend.
 
@@ -131,10 +181,8 @@ TEST(StencilPoisson, AllBackendsBitExactVsScalarReference) {
 }
 
 TEST(StencilMachine, ReExpressedAdvectionMatchesFusedKernelBitExactly) {
-  // The advection kernel re-declared on the stencil template (AdvectOp +
-  // the generic streaming pass) must reproduce the hand-written fused
-  // kernel bit-for-bit: both are the same per-cell arithmetic behind the
-  // same shift-buffer raster.
+  // kernel::run_kernel_fused is a forwarder onto the machine's streaming
+  // pass; it must stay bit-identical to run_advect on the fused engine.
   for (const Case& c : cases()) {
     const auto state = state_for(c);
     const advect::PwCoefficients coefficients =
@@ -163,10 +211,7 @@ TEST(StencilMachine, EveryEngineProducesIdenticalDiffusion) {
   stencil::DiffusionParams params;
   advect::SourceTerms reference(c.dims);
   stencil::diffusion_reference(*state, params, reference);
-  for (const stencil::Engine engine :
-       {stencil::Engine::kReference, stencil::Engine::kThreaded,
-        stencil::Engine::kFused, stencil::Engine::kMultiInstance,
-        stencil::Engine::kChunkedHost, stencil::Engine::kLaneBatched}) {
+  for (const stencil::Engine engine : kAllEngines) {
     stencil::EngineConfig config;
     config.engine = engine;
     config.chunk_y = 4;
@@ -175,6 +220,100 @@ TEST(StencilMachine, EveryEngineProducesIdenticalDiffusion) {
         stencil::run_diffusion(*state, params, out, config);
     EXPECT_EQ(stats.cells, c.dims.cells());
     expect_bit_equal(reference, out, "engine");
+  }
+}
+
+TEST(StencilMachine, FusedPassStreamsExactlyTheSpecFields) {
+  // Each streaming engine feeds one shift buffer per field the op reads:
+  // the guess and right-hand side for Poisson, all three wind fields for
+  // diffusion and advection. values_streamed stays per field.
+  const Case c = cases().front();
+  const auto state = state_for(c);
+  const advect::PwCoefficients coefficients = coefficients_for(c.dims);
+  stencil::PoissonParams poisson;
+  poisson.iterations = 1;
+  stencil::EngineConfig config;
+  config.engine = stencil::Engine::kFused;
+  config.chunk_y = 4;
+  const std::uint64_t per_field =
+      kernel::ChunkPlan(c.dims, config.chunk_y).streamed_values_per_field();
+  for (const stencil::StencilSpec& spec : stencil::registered_stencils()) {
+    const std::uint64_t fields = spec.name == "poisson_jacobi" ? 2u : 3u;
+    EXPECT_EQ(spec.fields_in, fields) << spec.name;
+    advect::SourceTerms out(c.dims);
+    const stencil::PassStats stats =
+        solve_on_machine(spec, *state, coefficients, poisson, out, config);
+    EXPECT_EQ(stats.values_streamed, per_field) << spec.name;
+    EXPECT_EQ(stats.field_values_streamed, fields * per_field) << spec.name;
+    EXPECT_EQ(stats.stencils_emitted, c.dims.cells()) << spec.name;
+  }
+}
+
+TEST(StencilSpecDerivation, OpArityIsTheSpecArity) {
+  // The spec's field counts drive the lint graph, the perf entry and the
+  // halo exchange; the op's drive what the engines stream and store.
+  EXPECT_EQ(stencil::AdvectOp::kFieldsIn, stencil::advect_spec().fields_in);
+  EXPECT_EQ(stencil::AdvectOp::kFieldsOut, stencil::advect_spec().fields_out);
+  EXPECT_EQ(stencil::DiffusionOp::kFieldsIn,
+            stencil::diffusion_spec().fields_in);
+  EXPECT_EQ(stencil::DiffusionOp::kFieldsOut,
+            stencil::diffusion_spec().fields_out);
+  EXPECT_EQ(stencil::PoissonOp::kFieldsIn, stencil::poisson_spec().fields_in);
+  EXPECT_EQ(stencil::PoissonOp::kFieldsOut,
+            stencil::poisson_spec().fields_out);
+
+  // A pass whose op disagrees with its spec is refused before it runs.
+  const Case c = cases().front();
+  const auto state = state_for(c);
+  advect::SourceTerms out(c.dims);
+  EXPECT_THROW(stencil::run_pass(stencil::poisson_spec(), *state, out,
+                                 stencil::DiffusionOp(stencil::DiffusionParams{}),
+                                 stencil::EngineConfig{}),
+               std::invalid_argument);
+}
+
+TEST(StencilFuzz, DegenerateShapesBitExactOnEveryEngine) {
+  // Seeded draws of tiny and degenerate grids (any side 1..10), Y-chunk
+  // widths 0..ny+3 and instance / slab counts up to nx+2: every registry
+  // kernel on every engine must bit-match its scalar reference.
+  util::Rng rng(16);
+  for (int draw = 0; draw < 32; ++draw) {
+    const grid::GridDims dims{1 + rng.next_below(10), 1 + rng.next_below(10),
+                              1 + rng.next_below(10)};
+    const std::uint64_t seed = rng.next_u64();
+    stencil::EngineConfig config;
+    config.chunk_y = rng.next_below(dims.ny + 4);
+    config.instances = 1 + rng.next_below(dims.nx + 2);
+    config.x_chunks = 1 + rng.next_below(dims.nx + 2);
+    stencil::PoissonParams poisson;
+    poisson.iterations = 1 + rng.next_below(3);
+    SCOPED_TRACE(::testing::Message()
+                 << "draw=" << draw << " dims=" << dims.nx << "x" << dims.ny
+                 << "x" << dims.nz << " chunk_y=" << config.chunk_y
+                 << " instances=" << config.instances
+                 << " x_chunks=" << config.x_chunks
+                 << " iterations=" << poisson.iterations << " seed=" << seed);
+
+    grid::WindState state(dims);
+    grid::init_random(state, seed);
+    const advect::PwCoefficients coefficients = coefficients_for(dims);
+    for (const stencil::StencilSpec& spec : stencil::registered_stencils()) {
+      advect::SourceTerms reference(dims);
+      solve_reference(spec, state, coefficients, poisson, reference);
+      for (const stencil::Engine engine : kAllEngines) {
+        config.engine = engine;
+        advect::SourceTerms out(dims);
+        const stencil::PassStats stats =
+            solve_on_machine(spec, state, coefficients, poisson, out, config);
+        const std::uint64_t sweeps =
+            spec.name == "poisson_jacobi" ? poisson.iterations : 1;
+        EXPECT_EQ(stats.cells, sweeps * dims.cells())
+            << spec.name << " engine " << static_cast<int>(engine);
+        expect_bit_equal(reference, out,
+                         spec.name + " engine " +
+                             std::to_string(static_cast<int>(engine)));
+      }
+    }
   }
 }
 
