@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
     options.backend = host;
     options.kernel.chunk_y = 16;
     options.metrics = &registry;
-    const auto result = api::AdvectionSolver(options).solve(state,
-                                                            coefficients);
+    const auto result = api::Solver(options).solve(state, coefficients);
     if (!result.ok()) {
       std::cerr << "instrumented host run failed: " << result.message
                 << "\n";

@@ -1,7 +1,7 @@
 // Serving-layer throughput: the same synthetic request trace replayed two
 // ways on this host —
 //
-//   sequential  one blocking AdvectionSolver::solve per request, in order
+//   sequential  one blocking Solver::solve per request, in order
 //               (a fresh solver per request, as a naive caller would do)
 //   service     pw::serve::SolveService with admission, same-plan batching,
 //               per-backend worker pools and the content-addressed result
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   std::uint64_t sequential_flops = 0;
   for (const api::SolveRequest& request : trace) {
     const api::SolveResult result =
-        api::AdvectionSolver(request.options).solve(request);
+        api::Solver(request.options).solve(request);
     if (!result.ok()) {
       std::cerr << "sequential solve failed (" << request.tag
                 << "): " << result.message << "\n";

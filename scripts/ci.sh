@@ -66,7 +66,11 @@
 #                              argument is only as good as its TSan run,
 #                              the stencil label drives the threaded /
 #                              multi-instance stencil engines plus the
-#                              mixed-kernel SolveService traffic, and the
+#                              mixed-kernel SolveService traffic and the
+#                              shift-buffer ring suites (its in-place
+#                              windows are pointer arithmetic with
+#                              negative offsets, read by concurrent
+#                              instances), and the
 #                              shard label runs one pass thread per
 #                              simulated device (including the chaos test
 #                              that kills a whole shard mid-solve), and the
@@ -137,7 +141,8 @@ cmake -B build-ubsan -S . -DPW_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ubsan -j "$JOBS" --target \
   test_stream_fabric test_fault test_fault_chaos \
-  test_backend_differential test_stencil test_check
+  test_backend_differential test_stencil test_check \
+  test_shift_buffer test_kernel_equivalence test_precision test_vectorized
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L streams
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
@@ -153,7 +158,8 @@ cmake -B build-tsan -S . -DPW_SANITIZE=thread \
 cmake --build build-tsan -j "$JOBS" --target \
   test_serve test_serve_stress test_stream_fabric \
   test_fault test_fault_chaos test_backend_differential test_stencil \
-  test_shard test_qos
+  test_shard test_qos \
+  test_shift_buffer test_kernel_equivalence test_precision test_vectorized
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R '^Serve'
 TSAN_OPTIONS=halt_on_error=1 \

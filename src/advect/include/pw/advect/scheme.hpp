@@ -50,7 +50,7 @@ using ZCoeffs = ZCoeffsT<double>;
 //
 // They are templates over the window `W`: anything with `u`, `v`, `w`
 // members whose `at(dx, dy, dz)` reads one field's 27-point neighbourhood —
-// a gathered CellStencilsT, the shift buffer's registers in place, or a
+// a gathered CellStencilsT, a view into the shift buffer's ring, or a
 // strided view of the grid's own storage. The arithmetic cannot tell them
 // apart, so one definition serves every view.
 //

@@ -392,9 +392,4 @@ class Solver {
   SolverOptions options_;
 };
 
-/// Source-compatible alias from the advection-only era. New code should
-/// say Solver; this name survives because every pre-stencil call site and
-/// doc example used it.
-using AdvectionSolver = Solver;
-
 }  // namespace pw::api

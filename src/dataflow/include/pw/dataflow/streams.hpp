@@ -13,8 +13,6 @@
 ///   SimStream<T>   single-threaded one-beat-per-cycle FIFO for the
 ///                  CycleEngine's II model.
 ///   DataPack<T,W>  wide word for batched push_n/pop_n traffic.
-///
-/// pw/dataflow/sim_stream.hpp remains as a shim including this.
 
 #include <cstddef>
 #include <deque>

@@ -3,11 +3,14 @@
 #include <array>
 #include <cstddef>
 #include <optional>
+#include <stdexcept>
+#include <vector>
 
 #include "pw/advect/coefficients.hpp"
 #include "pw/advect/reference.hpp"
 #include "pw/advect/scheme.hpp"
 #include "pw/grid/init.hpp"
+#include "pw/hls/numeric_cast.hpp"
 #include "pw/kernel/config.hpp"
 #include "pw/kernel/passes.hpp"
 
@@ -15,29 +18,44 @@ namespace pw::kernel {
 
 /// The advection per-cell op on the stencil machine: advect_cell with the
 /// per-level Z coefficients looked up from the cell's k. Every advection
-/// engine runs this one op (stencil::AdvectOp names the same type), over
-/// whichever window view its pass provides.
-struct AdvectOp {
+/// engine runs this one op (stencil::AdvectOp names the double instance),
+/// over whichever window view its pass provides. T is the arithmetic's
+/// value type: the coefficients are converted to it once, at construction
+/// (the f32 and fixed-point datapaths of the paper's §V), which throws
+/// std::invalid_argument unless every per-level vector has `levels`
+/// entries.
+template <typename T>
+struct BasicAdvectOp {
   static constexpr std::size_t kFieldsIn = 3;   ///< u, v, w
   static constexpr std::size_t kFieldsOut = 3;  ///< su, sv, sw
 
-  const advect::PwCoefficients* c = nullptr;
-  std::ptrdiff_t nz = 0;
+  T tcx{};
+  T tcy{};
+  std::vector<advect::ZCoeffsT<T>> z;  ///< one entry per level
 
-  AdvectOp(const advect::PwCoefficients& coefficients, std::size_t levels)
-      : c(&coefficients), nz(static_cast<std::ptrdiff_t>(levels)) {}
+  BasicAdvectOp(const advect::PwCoefficients& c, std::size_t levels)
+      : tcx(hls::to_value<T>(c.tcx)), tcy(hls::to_value<T>(c.tcy)),
+        z(levels) {
+    if (c.tzc1.size() != levels || c.tzc2.size() != levels ||
+        c.tzd1.size() != levels || c.tzd2.size() != levels) {
+      throw std::invalid_argument("AdvectOp: coefficient levels != nz");
+    }
+    for (std::size_t k = 0; k < levels; ++k) {
+      z[k] = {hls::to_value<T>(c.tzc1[k]), hls::to_value<T>(c.tzc2[k]),
+              hls::to_value<T>(c.tzd1[k]), hls::to_value<T>(c.tzd2[k])};
+    }
+  }
 
   template <typename W>
-  std::array<double, kFieldsOut> operator()(const W& s,
-                                            const CellCtx& cell) const {
-    const auto gk = static_cast<std::size_t>(cell.k);
-    const advect::ZCoeffs z{c->tzc1[gk], c->tzc2[gk], c->tzd1[gk],
-                            c->tzd2[gk]};
-    const advect::CellSources sources =
-        advect::advect_cell(s, c->tcx, c->tcy, z, cell.k == nz - 1);
+  std::array<T, kFieldsOut> operator()(const W& s, const CellCtx& cell) const {
+    const auto k = static_cast<std::size_t>(cell.k);
+    const advect::CellSourcesT<T> sources =
+        advect::advect_cell<T>(s, tcx, tcy, z[k], k + 1 == z.size());
     return {sources.su, sources.sv, sources.sw};
   }
 };
+
+using AdvectOp = BasicAdvectOp<double>;
 
 /// Single-threaded execution of the full dataflow design: a forwarder onto
 /// the machine's streaming pass with AdvectOp (the loop every streaming

@@ -4,11 +4,14 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "pw/advect/reference.hpp"
 #include "pw/advect/scheme.hpp"
 #include "pw/grid/init.hpp"
+#include "pw/hls/numeric_cast.hpp"
 #include "pw/kernel/chunking.hpp"
 #include "pw/kernel/config.hpp"
 #include "pw/kernel/shift_buffer.hpp"
@@ -99,10 +102,10 @@ auto make_window(const FieldStencil& field) {
   return make_window<N>(field, std::make_index_sequence<N>{});
 }
 
-template <std::size_t... I>
-std::array<ShiftBuffer3D, sizeof...(I)> make_buffers(
+template <typename T, std::size_t... I>
+std::array<BasicShiftBuffer3D<T>, sizeof...(I)> make_buffers(
     std::size_t ny_padded, std::size_t nz_padded, std::index_sequence<I...>) {
-  return {((void)I, ShiftBuffer3D(ny_padded, nz_padded))...};
+  return {((void)I, BasicShiftBuffer3D<T>(ny_padded, nz_padded))...};
 }
 
 }  // namespace detail
@@ -115,6 +118,9 @@ std::array<ShiftBuffer3D, sizeof...(I)> make_buffers(
 //   static constexpr std::size_t kFieldsOut;  // writes the first of su, sv, sw
 //   template <typename W>
 //   std::array<double, kFieldsOut> operator()(const W&, const CellCtx&) const
+//
+// (an op for pass_streaming<T> with T other than double returns
+// std::array<T, kFieldsOut>: it computes in the buffers' value type).
 //
 // Both passes hand the op the same values for every cell and the op is one
 // template over the view, so every engine is bit-equal to the scalar
@@ -163,10 +169,15 @@ void pass_direct(const grid::WindState& in, advect::SourceTerms& out,
 }
 
 /// Streaming pass: the Fig. 2/3 machine — raster the padded slab through
-/// one shift buffer per input field, chunk by chunk, and apply the op to
-/// the buffers' registers in place whenever a window completes. Only the
-/// op's kFieldsIn fields are streamed and only its kFieldsOut are stored.
-template <typename Op>
+/// one shift buffer per input field, chunk by chunk and one padded
+/// z-column at a time, and apply the op in place to every window a column
+/// completes, in k order: the cells, values and order of the per-value
+/// machine. Only the op's kFieldsIn fields are streamed and only its
+/// kFieldsOut are stored. T is the buffers' value type: for T other than
+/// double each column is converted once as it is fed (hls::to_value<T>,
+/// the read stage's cast) and the op's results are widened as they are
+/// stored (hls::from_value, the write stage's).
+template <typename T = double, typename Op>
 void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
                     const Op& op, std::size_t chunk_y, XRange xr,
                     PassStats* stats = nullptr) {
@@ -176,16 +187,14 @@ void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
   const ChunkPlan plan(dims, chunk_y);
   const auto fields = detail::first<kIn>(in.u, in.v, in.w);
   const auto results = detail::first<kOut>(out.su, out.sv, out.sw);
-  const auto nz_padded = static_cast<std::ptrdiff_t>(dims.nz) + 2;
+  const auto nz = static_cast<std::ptrdiff_t>(dims.nz);
+  const std::size_t nz_padded = dims.nz + 2;
+  std::vector<T> converted(std::is_same_v<T, double> ? 0 : nz_padded);
 
   PassStats pass;
   for (const YChunk& chunk : plan.chunks()) {
-    auto buffers = detail::make_buffers(chunk.padded_width(), dims.nz + 2,
-                                        std::make_index_sequence<kIn>{});
-    const auto window = detail::make_window<kIn>(
-        [&](std::size_t f) -> const advect::Stencil27& {
-          return buffers[f].window();
-        });
+    auto buffers = detail::make_buffers<T>(chunk.padded_width(), nz_padded,
+                                           std::make_index_sequence<kIn>{});
     const auto x_lo = static_cast<std::ptrdiff_t>(xr.begin) - 1;
     const auto x_hi = static_cast<std::ptrdiff_t>(xr.end) + 1;  // exclusive
     const auto j_lo = static_cast<std::ptrdiff_t>(chunk.j_begin) - 1;
@@ -193,32 +202,45 @@ void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
 
     for (std::ptrdiff_t i = x_lo; i < x_hi; ++i) {
       for (std::ptrdiff_t j = j_lo; j < j_hi; ++j) {
-        // Each field's padded z-column, fed bottom halo to top halo.
-        std::array<const double*, kIn> column{};
+        // Each field's padded z-column, bottom halo to top halo.
+        bool complete = false;
         for (std::size_t f = 0; f < kIn; ++f) {
-          column[f] = &fields[f]->at(i, j, -1);
+          const double* column = &fields[f]->at(i, j, -1);
+          if constexpr (std::is_same_v<T, double>) {
+            complete = buffers[f].advance_column(column);
+          } else {
+            std::transform(column, column + nz_padded, converted.begin(),
+                           hls::to_value<T>);
+            complete = buffers[f].advance_column(converted.data());
+          }
         }
-        for (std::ptrdiff_t z = 0; z < nz_padded; ++z) {
-          bool complete = false;
-          for (std::size_t f = 0; f < kIn; ++f) {
-            complete = buffers[f].advance(column[f][z]);
-          }
-          if (!complete) {
-            continue;
-          }
-          // The window is centred one plane, column and cell behind the
-          // value just consumed (padded z index z is global k = z - 1).
-          const CellCtx cell{i - 1, j - 1, z - 2};
-          const std::array<double, kOut> values = op(window, cell);
+        if (!complete) {
+          continue;
+        }
+        // The column completed the windows centred one plane and one
+        // column behind it at every interior height: the bottom one
+        // (padded ck = 1) raised by k.
+        std::array<typename BasicShiftBuffer3D<T>::View, kIn> bottom{};
+        for (std::size_t f = 0; f < kIn; ++f) {
+          bottom[f] = buffers[f].column_window(1);
+        }
+        std::array<double*, kOut> dst{};
+        for (std::size_t o = 0; o < kOut; ++o) {
+          dst[o] = &results[o]->at(i - 1, j - 1, 0);
+        }
+        for (std::ptrdiff_t k = 0; k < nz; ++k) {
+          const auto window = detail::make_window<kIn>(
+              [&](std::size_t f) { return bottom[f].raised(k); });
+          const auto values = op(window, CellCtx{i - 1, j - 1, k});
           for (std::size_t o = 0; o < kOut; ++o) {
-            results[o]->at(cell.i, cell.j, cell.k) = values[o];
+            dst[o][k] = hls::from_value(values[o]);
           }
-          ++pass.cells;
         }
+        pass.cells += static_cast<std::uint64_t>(nz);
       }
     }
-    pass.values_streamed += static_cast<std::uint64_t>(
-        (x_hi - x_lo) * (j_hi - j_lo) * nz_padded);
+    pass.values_streamed +=
+        static_cast<std::uint64_t>((x_hi - x_lo) * (j_hi - j_lo)) * nz_padded;
     ++pass.chunks;
   }
   pass.stencils_emitted = pass.cells;

@@ -17,10 +17,12 @@ namespace pw::kernel {
 /// stencil vectors (8 SP lanes per cycle on Versal).
 ///
 /// Numerically this is the float32 datapath (inputs cast at the read
-/// stage, results widened at the write stage); batching changes only the
-/// schedule, never the per-cell arithmetic, so the output is bit-identical
-/// to the scalar float32 kernel — asserted by tests. On the host CPU the
-/// batched loop auto-vectorises, which the micro benches measure.
+/// stage, results widened at the write stage): one pass_streaming<float>
+/// over BasicAdvectOp<float>, so the output is bit-identical to the scalar
+/// float32 kernel — asserted by tests. The lanes are accounting only: each
+/// Y-chunk issues (chunk cells / lanes) full batches and drains the
+/// remainder at its boundary, as the AI engine would; on the host the
+/// cells are computed one by one in column order.
 struct VectorizedStats {
   KernelRunStats kernel;
   std::size_t batches = 0;         ///< full vector batches issued

@@ -1,26 +1,11 @@
 #include "pw/kernel/vectorized.hpp"
 
 #include <stdexcept>
-#include <vector>
 
-#include "pw/advect/scheme.hpp"
-#include "pw/hls/numeric_cast.hpp"
 #include "pw/kernel/chunking.hpp"
-#include "pw/kernel/shift_buffer.hpp"
+#include "pw/kernel/fused.hpp"
 
 namespace pw::kernel {
-
-namespace {
-
-/// One queued lane: a full stencil set plus where its results belong.
-struct LaneSlot {
-  advect::CellStencilsT<float> stencils;
-  advect::ZCoeffsT<float> z;
-  bool top = false;
-  std::ptrdiff_t gi = 0, gj = 0, gk = 0;
-};
-
-}  // namespace
 
 VectorizedStats run_kernel_vectorized_f32(
     const grid::WindState& state, const advect::PwCoefficients& c,
@@ -30,81 +15,19 @@ VectorizedStats run_kernel_vectorized_f32(
     throw std::invalid_argument("run_kernel_vectorized_f32: zero lanes");
   }
   const grid::GridDims dims = state.u.dims();
-  const ChunkPlan plan(dims, config.chunk_y);
-  const auto nz = dims.nz;
-
-  const float tcx = hls::to_value<float>(c.tcx);
-  const float tcy = hls::to_value<float>(c.tcy);
-  std::vector<advect::ZCoeffsT<float>> zc(nz);
-  for (std::size_t k = 0; k < nz; ++k) {
-    zc[k] = {hls::to_value<float>(c.tzc1[k]), hls::to_value<float>(c.tzc2[k]),
-             hls::to_value<float>(c.tzd1[k]), hls::to_value<float>(c.tzd2[k])};
-  }
+  PassStats pass;
+  pass_streaming<float>(state, out, BasicAdvectOp<float>(c, dims.nz),
+                        config.chunk_y, XRange{0, dims.nx}, &pass);
 
   VectorizedStats stats;
-  stats.kernel.chunks = plan.chunks().size();
-
-  std::vector<LaneSlot> batch;
-  batch.reserve(lanes);
-
-  // The AI-engine consume loop: all lanes of a batch computed in one tight
-  // pass (auto-vectorisable — per-lane work is branch-free once `top` is a
-  // lane attribute).
-  auto flush = [&](bool full) {
-    if (batch.empty()) {
-      return;
-    }
-    if (full) {
-      ++stats.batches;
-    } else {
-      stats.remainder_cells += batch.size();
-    }
-    for (const LaneSlot& lane : batch) {
-      const auto sources = advect::advect_cell<float>(lane.stencils, tcx,
-                                                      tcy, lane.z, lane.top);
-      out.su.at(lane.gi, lane.gj, lane.gk) = hls::from_value(sources.su);
-      out.sv.at(lane.gi, lane.gj, lane.gk) = hls::from_value(sources.sv);
-      out.sw.at(lane.gi, lane.gj, lane.gk) = hls::from_value(sources.sw);
-    }
-    batch.clear();
-  };
-
+  stats.kernel = {pass.values_streamed, pass.stencils_emitted, pass.chunks};
+  // The AI engine issues full vectors of a chunk's cells and drains the
+  // partial one at the chunk boundary.
+  const ChunkPlan plan(dims, config.chunk_y);
   for (const YChunk& chunk : plan.chunks()) {
-    BasicTripleShiftBuffer<float> buffer(chunk.padded_width(), nz + 2);
-    const auto x_lo = -1;
-    const auto x_hi = static_cast<std::ptrdiff_t>(dims.nx) + 1;
-    const auto j_lo = static_cast<std::ptrdiff_t>(chunk.j_begin) - 1;
-    const auto j_hi = static_cast<std::ptrdiff_t>(chunk.j_end) + 1;
-
-    for (std::ptrdiff_t i = x_lo; i < x_hi; ++i) {
-      for (std::ptrdiff_t j = j_lo; j < j_hi; ++j) {
-        for (std::ptrdiff_t k = -1; k <= static_cast<std::ptrdiff_t>(nz);
-             ++k) {
-          ++stats.kernel.values_streamed_per_field;
-          auto emitted =
-              buffer.push(hls::to_value<float>(state.u.at(i, j, k)),
-                          hls::to_value<float>(state.v.at(i, j, k)),
-                          hls::to_value<float>(state.w.at(i, j, k)));
-          if (!emitted) {
-            continue;
-          }
-          ++stats.kernel.stencils_emitted;
-          LaneSlot lane;
-          lane.stencils = emitted->stencils;
-          lane.gi = x_lo + static_cast<std::ptrdiff_t>(emitted->ci);
-          lane.gj = j_lo + static_cast<std::ptrdiff_t>(emitted->cj);
-          lane.gk = static_cast<std::ptrdiff_t>(emitted->ck) - 1;
-          lane.top = lane.gk == static_cast<std::ptrdiff_t>(nz) - 1;
-          lane.z = zc[static_cast<std::size_t>(lane.gk)];
-          batch.push_back(lane);
-          if (batch.size() == lanes) {
-            flush(/*full=*/true);
-          }
-        }
-      }
-    }
-    // Chunk boundary: the AI engine drains its partial vector.
-    flush(/*full=*/false);
+    const std::size_t cells = dims.nx * chunk.width() * dims.nz;
+    stats.batches += cells / lanes;
+    stats.remainder_cells += cells % lanes;
   }
   return stats;
 }

@@ -4,78 +4,22 @@
 #include <stdexcept>
 
 #include "pw/hls/fixed_point.hpp"
-#include "pw/hls/numeric_cast.hpp"
-#include "pw/kernel/chunking.hpp"
 #include "pw/kernel/fused.hpp"
-#include "pw/kernel/shift_buffer.hpp"
 
 namespace pw::precision {
 
 namespace {
 
-using hls::from_value;
-using hls::to_value;
-
-template <typename T>
-T convert(double value) {
-  return to_value<T>(value);
-}
-
-template <typename T>
-double back(T value) {
-  return from_value<T>(value);
-}
-
-/// The fused datapath generic over the value type: identical structure to
-/// kernel::run_kernel_fused, with casts at the read and write stages only.
+/// The fused datapath generic over the value type: the machine's streaming
+/// pass in T, with casts at the read and write stages only.
 template <typename T>
 void run_reduced(const grid::WindState& state,
                  const advect::PwCoefficients& c,
                  const kernel::KernelConfig& config,
                  advect::SourceTerms& out) {
   const grid::GridDims dims = state.u.dims();
-  const kernel::ChunkPlan plan(dims, config.chunk_y);
-  const auto nz = dims.nz;
-
-  const T tcx = convert<T>(c.tcx);
-  const T tcy = convert<T>(c.tcy);
-  std::vector<advect::ZCoeffsT<T>> zc(nz);
-  for (std::size_t k = 0; k < nz; ++k) {
-    zc[k] = {convert<T>(c.tzc1[k]), convert<T>(c.tzc2[k]),
-             convert<T>(c.tzd1[k]), convert<T>(c.tzd2[k])};
-  }
-
-  for (const kernel::YChunk& chunk : plan.chunks()) {
-    kernel::BasicTripleShiftBuffer<T> buffer(chunk.padded_width(), nz + 2);
-    const auto x_lo = -1;
-    const auto x_hi = static_cast<std::ptrdiff_t>(dims.nx) + 1;
-    const auto j_lo = static_cast<std::ptrdiff_t>(chunk.j_begin) - 1;
-    const auto j_hi = static_cast<std::ptrdiff_t>(chunk.j_end) + 1;
-
-    for (std::ptrdiff_t i = x_lo; i < x_hi; ++i) {
-      for (std::ptrdiff_t j = j_lo; j < j_hi; ++j) {
-        for (std::ptrdiff_t k = -1; k <= static_cast<std::ptrdiff_t>(nz);
-             ++k) {
-          auto emitted = buffer.push(convert<T>(state.u.at(i, j, k)),
-                                     convert<T>(state.v.at(i, j, k)),
-                                     convert<T>(state.w.at(i, j, k)));
-          if (!emitted) {
-            continue;
-          }
-          const auto gi = x_lo + static_cast<std::ptrdiff_t>(emitted->ci);
-          const auto gj = j_lo + static_cast<std::ptrdiff_t>(emitted->cj);
-          const auto gk = static_cast<std::ptrdiff_t>(emitted->ck) - 1;
-          const bool top = gk == static_cast<std::ptrdiff_t>(nz) - 1;
-          const auto sources = advect::advect_cell<T>(
-              emitted->stencils, tcx, tcy,
-              zc[static_cast<std::size_t>(gk)], top);
-          out.su.at(gi, gj, gk) = back<T>(sources.su);
-          out.sv.at(gi, gj, gk) = back<T>(sources.sv);
-          out.sw.at(gi, gj, gk) = back<T>(sources.sw);
-        }
-      }
-    }
-  }
+  kernel::pass_streaming<T>(state, out, kernel::BasicAdvectOp<T>(c, dims.nz),
+                            config.chunk_y, kernel::XRange{0, dims.nx});
 }
 
 void accumulate(const grid::FieldD& reference, const grid::FieldD& reduced,

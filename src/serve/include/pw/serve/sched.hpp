@@ -170,8 +170,9 @@ inline int priority_rank(api::Priority priority) {
 }
 
 /// Mutex/condvar shell shared by the policies: blocking push, timed pop,
-/// close-then-drain semantics — exactly the retired BoundedMpmcQueue
-/// contract, so the FIFO instantiation is bit-compatible with it.
+/// close-then-drain semantics — the contract of the bounded queue the
+/// service admitted through before schedulers, so the FIFO instantiation
+/// is bit-compatible with it.
 template <typename T>
 class LockedScheduler : public Scheduler<T> {
  public:
@@ -371,7 +372,7 @@ class LockedScheduler : public Scheduler<T> {
 
 /// Strict admission order; refuses the newest item when full. The
 /// differential referee: request-for-request identical to the
-/// pre-scheduler BoundedMpmcQueue service.
+/// pre-scheduler bounded-queue service.
 template <typename T>
 class FifoScheduler final : public LockedScheduler<T> {
  public:

@@ -1,5 +1,5 @@
 // Differential conformance: every backend, run through the one unified
-// AdvectionSolver surface on identical randomized grids (shared seeds),
+// Solver surface on identical randomized grids (shared seeds),
 // must agree with the serial reference — bit-exactly for the double
 // datapaths, within float32 tolerance for the vectorized backend — both
 // fault-free and when the answer arrives via the serve layer's failover
@@ -47,7 +47,7 @@ api::SolveRequest request_for(const Case& c, api::BackendSpec backend) {
 api::SolveResult solve_with(const Case& c, api::BackendSpec backend) {
   const api::SolveRequest request = request_for(c, std::move(backend));
   api::SolveResult result =
-      api::AdvectionSolver(request.options).solve(request);
+      api::Solver(request.options).solve(request);
   EXPECT_TRUE(result.ok()) << result.message;
   return result;
 }

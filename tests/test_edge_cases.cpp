@@ -5,12 +5,16 @@
 
 #include <sstream>
 
+#include "pw/advect/coefficients.hpp"
 #include "pw/advect/flops.hpp"
+#include "pw/advect/reference.hpp"
 #include "pw/fpga/perf_model.hpp"
 #include "pw/grid/field3d.hpp"
 #include "pw/grid/geometry.hpp"
+#include "pw/grid/init.hpp"
 #include "pw/hls/shift_register.hpp"
 #include "pw/kernel/chunking.hpp"
+#include "pw/stencil/advect.hpp"
 #include "pw/util/stats.hpp"
 #include "pw/util/table.hpp"
 
@@ -116,6 +120,23 @@ TEST(EdgeTable, CsvEscapesQuotes) {
   std::ostringstream os;
   t.write_csv(os);
   EXPECT_NE(os.str().find("\"say \"\"hi\"\"\""), std::string::npos);
+}
+
+TEST(EdgeAdvectOp, CoefficientLevelsMustMatchTheGrid) {
+  // The machine's advection op converts the per-level coefficients when it
+  // is built: a level count other than nz is rejected there, as
+  // advect_reference rejects it, instead of being read out of range.
+  const grid::GridDims dims{4, 4, 6};
+  grid::WindState state(dims);
+  const auto coefficients = advect::PwCoefficients::from_geometry(
+      grid::Geometry::uniform({4, 4, 5}, 100.0, 100.0, 25.0));
+  advect::SourceTerms out(dims);
+  stencil::EngineConfig config;
+  config.engine = stencil::Engine::kFused;
+  EXPECT_THROW(stencil::run_advect(state, coefficients, out, config),
+               std::invalid_argument);
+  EXPECT_THROW(advect::advect_reference(state, coefficients, out),
+               std::invalid_argument);
 }
 
 TEST(EdgeShiftRegister, SizeOne) {

@@ -271,7 +271,7 @@ TEST(FaultSites, OclTransferFailureSurfacesAsBackendFault) {
 
     const api::SolveRequest request = host_request();
     const api::SolveResult result =
-        api::AdvectionSolver(request.options).solve(request);
+        api::Solver(request.options).solve(request);
     EXPECT_EQ(result.error, api::SolveError::kBackendFault) << site;
     EXPECT_NE(result.message.find("transfer_failure"), std::string::npos)
         << result.message;
@@ -288,7 +288,7 @@ TEST(FaultSites, OclKernelTimeoutSurfacesAsBackendFault) {
 
   const api::SolveRequest request = host_request();
   const api::SolveResult result =
-      api::AdvectionSolver(request.options).solve(request);
+      api::Solver(request.options).solve(request);
   EXPECT_EQ(result.error, api::SolveError::kBackendFault);
   EXPECT_NE(result.message.find("kernel_timeout"), std::string::npos);
 }
@@ -302,7 +302,7 @@ TEST(FaultSites, OclAllocFailureSurfacesAsBackendFault) {
 
   const api::SolveRequest request = host_request();
   const api::SolveResult result =
-      api::AdvectionSolver(request.options).solve(request);
+      api::Solver(request.options).solve(request);
   EXPECT_EQ(result.error, api::SolveError::kBackendFault);
   EXPECT_NE(result.message.find("alloc_failure"), std::string::npos);
 }
@@ -453,7 +453,7 @@ TEST(ServeResilience, FailoverServesDegradedButCorrectTerms) {
   api::SolverOptions cpu_options = request.options;
   cpu_options.backend = api::Backend::kCpuBaseline;
   const api::SolveResult expected =
-      api::AdvectionSolver(cpu_options).solve(request);
+      api::Solver(cpu_options).solve(request);
   ASSERT_TRUE(expected.ok());
 
   fault::FaultPlan plan = one_rule_plan("serve.solve.fused",

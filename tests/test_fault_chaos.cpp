@@ -48,7 +48,7 @@ TEST(FaultChaos, PermanentBackendFailureFailsOverEveryRequest) {
   for (const api::SolveRequest& request : requests) {
     api::SolverOptions options = request.options;
     options.backend = api::Backend::kCpuBaseline;
-    expected.push_back(api::AdvectionSolver(options).solve(request));
+    expected.push_back(api::Solver(options).solve(request));
     ASSERT_TRUE(expected.back().ok()) << expected.back().message;
   }
 

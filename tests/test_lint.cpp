@@ -14,8 +14,8 @@
 
 #include "pw/api/solver.hpp"
 #include "pw/dataflow/engine.hpp"
-#include "pw/dataflow/sim_stream.hpp"
 #include "pw/dataflow/stream.hpp"
+#include "pw/dataflow/streams.hpp"
 #include "pw/dataflow/threaded.hpp"
 #include "pw/kernel/pipeline_graph.hpp"
 #include "pw/lint/checks.hpp"
@@ -701,7 +701,7 @@ TEST(LintCapacity, StreamProbedAfterCloseStillReportsHonestly) {
 TEST(LintSolver, ValidateAcceptsShippedConfigurations) {
   api::SolverOptions options;
   options.backend = api::Backend::kFused;
-  const api::AdvectionSolver solver(options);
+  const api::Solver solver(options);
   const auto report = solver.validate({16, 64, 16});
   EXPECT_TRUE(report.passed()) << report.summary();
   EXPECT_NE(find_check(report, "throughput.predicted_peak"), nullptr);
@@ -710,20 +710,20 @@ TEST(LintSolver, ValidateAcceptsShippedConfigurations) {
 TEST(LintSolver, ValidateRejectsBadOptionsAsDiagnostics) {
   api::SolverOptions options;
   options.backend = api::MultiKernelOptions{.kernels = 0};
-  const api::AdvectionSolver solver(options);
+  const api::Solver solver(options);
   const auto report = solver.validate({16, 64, 16});
   EXPECT_FALSE(report.passed());
   EXPECT_NE(find_check(report, "options.invalid"), nullptr);
 
   const auto empty_grid =
-      api::AdvectionSolver(api::SolverOptions{}).validate({0, 64, 16});
+      api::Solver(api::SolverOptions{}).validate({0, 64, 16});
   EXPECT_FALSE(empty_grid.passed());
 }
 
 TEST(LintSolver, NonDataflowBackendsReportOnlyOptionChecks) {
   api::SolverOptions options;
   options.backend = api::Backend::kReference;
-  const auto report = api::AdvectionSolver(options).validate({8, 8, 8});
+  const auto report = api::Solver(options).validate({8, 8, 8});
   EXPECT_TRUE(report.passed());
   EXPECT_NE(find_check(report, "options.no_dataflow"), nullptr);
 }

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "pw/advect/coefficients.hpp"
+#include "pw/advect/scheme.hpp"
 #include "pw/fpga/device_profiles.hpp"
 #include "pw/fpga/resource_estimate.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/grid/init.hpp"
 #include "pw/hls/fixed_point.hpp"
+#include "pw/hls/numeric_cast.hpp"
 #include "pw/kernel/intel_frontend.hpp"
+#include "pw/kernel/vectorized.hpp"
 #include "pw/kernel/xilinx_frontend.hpp"
 #include "pw/precision/reduced.hpp"
 #include "pw/util/rng.hpp"
@@ -198,6 +202,95 @@ TEST(ReducedPrecision, F32FrontendDiffersFromF64ButOnlySlightly) {
   const auto diff = grid::compare_interior(f64.su, f32.su);
   EXPECT_FALSE(diff.bit_equal());  // genuinely reduced precision
   EXPECT_LT(diff.max_abs, 1e-6);   // but tiny at wind scales
+}
+
+/// The typed referee: advect_cell<T> over a direct gather of each cell's
+/// 27 neighbours, inputs and coefficients converted to T as the read stage
+/// does and results widened as the write stage does.
+template <typename T>
+advect::SourceTerms gather_reference(const grid::WindState& state,
+                                     const advect::PwCoefficients& c) {
+  const grid::GridDims dims = state.u.dims();
+  advect::SourceTerms out(dims);
+  const T tcx = hls::to_value<T>(c.tcx);
+  const T tcy = hls::to_value<T>(c.tcy);
+  for (std::size_t i = 0; i < dims.nx; ++i) {
+    for (std::size_t j = 0; j < dims.ny; ++j) {
+      for (std::size_t k = 0; k < dims.nz; ++k) {
+        const auto gi = static_cast<std::ptrdiff_t>(i);
+        const auto gj = static_cast<std::ptrdiff_t>(j);
+        const auto gk = static_cast<std::ptrdiff_t>(k);
+        advect::CellStencilsT<T> s;
+        for (int dx = -1; dx <= 1; ++dx) {
+          for (int dy = -1; dy <= 1; ++dy) {
+            for (int dz = -1; dz <= 1; ++dz) {
+              s.u.at(dx, dy, dz) = hls::to_value<T>(
+                  state.u.at(gi + dx, gj + dy, gk + dz));
+              s.v.at(dx, dy, dz) = hls::to_value<T>(
+                  state.v.at(gi + dx, gj + dy, gk + dz));
+              s.w.at(dx, dy, dz) = hls::to_value<T>(
+                  state.w.at(gi + dx, gj + dy, gk + dz));
+            }
+          }
+        }
+        const advect::ZCoeffsT<T> z{
+            hls::to_value<T>(c.tzc1[k]), hls::to_value<T>(c.tzc2[k]),
+            hls::to_value<T>(c.tzd1[k]), hls::to_value<T>(c.tzd2[k])};
+        const auto sources =
+            advect::advect_cell<T>(s, tcx, tcy, z, k + 1 == dims.nz);
+        out.su.at(gi, gj, gk) = hls::from_value(sources.su);
+        out.sv.at(gi, gj, gk) = hls::from_value(sources.sv);
+        out.sw.at(gi, gj, gk) = hls::from_value(sources.sw);
+      }
+    }
+  }
+  return out;
+}
+
+void expect_bit_equal(const advect::SourceTerms& expected,
+                      const advect::SourceTerms& got, const char* what) {
+  EXPECT_TRUE(grid::compare_interior(expected.su, got.su).bit_equal()) << what;
+  EXPECT_TRUE(grid::compare_interior(expected.sv, got.sv).bit_equal()) << what;
+  EXPECT_TRUE(grid::compare_interior(expected.sw, got.sw).bit_equal()) << what;
+}
+
+TEST(ReducedPrecision, TypedPathsBitEqualDirectGatherOnDegenerateShapes) {
+  // Seeded draws of tiny and degenerate grids (every side 1..6) and Y-chunk
+  // widths 0..ny+2: each reduced representation is bit-equal to the typed
+  // direct-gather referee, and the f32 vectorized path to the float32 one.
+  util::Rng rng(17);
+  for (int draw = 0; draw < 24; ++draw) {
+    const grid::GridDims dims{1 + rng.next_below(6), 1 + rng.next_below(6),
+                              1 + rng.next_below(6)};
+    const std::uint64_t seed = rng.next_u64();
+    kernel::KernelConfig config;
+    config.chunk_y = rng.next_below(dims.ny + 3);
+    SCOPED_TRACE(::testing::Message()
+                 << "draw=" << draw << " dims=" << dims.nx << "x" << dims.ny
+                 << "x" << dims.nz << " chunk_y=" << config.chunk_y
+                 << " seed=" << seed);
+    grid::WindState state(dims);
+    grid::init_random(state, seed);
+    const auto coefficients = advect::PwCoefficients::from_geometry(
+        grid::Geometry::uniform(dims, 100.0, 80.0, 40.0));
+
+    advect::SourceTerms f32(dims), q43(dims), q32(dims), vectorized(dims);
+    precision::evaluate(precision::Representation::kFloat32, state,
+                        coefficients, config, &f32);
+    precision::evaluate(precision::Representation::kFixedQ43, state,
+                        coefficients, config, &q43);
+    precision::evaluate(precision::Representation::kFixedQ32, state,
+                        coefficients, config, &q32);
+    kernel::run_kernel_vectorized_f32(state, coefficients, vectorized, config);
+
+    expect_bit_equal(gather_reference<float>(state, coefficients), f32,
+                     "float32");
+    expect_bit_equal(gather_reference<hls::FixedQ43>(state, coefficients),
+                     q43, "fixed Q20.43");
+    expect_bit_equal(gather_reference<hls::FixedQ32>(state, coefficients),
+                     q32, "fixed Q31.32");
+    expect_bit_equal(f32, vectorized, "vectorized f32");
+  }
 }
 
 }  // namespace

@@ -616,7 +616,7 @@ void expect_matches_direct(const api::SolveRequest& request,
                            std::size_t index) {
   ASSERT_TRUE(served.ok()) << index << ": " << served.message;
   const api::SolveResult direct =
-      api::AdvectionSolver(request.options).solve(request);
+      api::Solver(request.options).solve(request);
   ASSERT_TRUE(direct.ok()) << index << ": " << direct.message;
   EXPECT_TRUE(grid::compare_interior(direct.terms->su, served.terms->su)
                   .bit_equal())
@@ -632,7 +632,7 @@ void expect_matches_direct(const api::SolveRequest& request,
 TEST(QosDifferential, FifoServiceMatchesDirectSolvesOnAReplayedTrace) {
   // The FIFO scheduler is the bit-compatible referee: a service running it
   // must serve the whole trace request-for-request identical to direct
-  // AdvectionSolver calls, with the pre-refactor counter contract intact.
+  // Solver calls, with the pre-refactor counter contract intact.
   const std::vector<api::SolveRequest> trace = referee_trace();
   serve::ServiceConfig config;
   config.scheduler = serve::sched::Policy::kFifo;

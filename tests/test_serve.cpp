@@ -70,7 +70,7 @@ void wait_for_batches(serve::SolveService& service, std::size_t batches) {
 TEST(ServeService, SingleRequestMatchesDirectSolve) {
   api::SolveRequest request = small_request();
   const api::SolveResult direct =
-      api::AdvectionSolver(request.options).solve(request);
+      api::Solver(request.options).solve(request);
   ASSERT_TRUE(direct.ok()) << direct.message;
 
   serve::SolveService service;
@@ -427,7 +427,7 @@ TEST(ServePlanCache, FingerprintTracksPayloadContent) {
 
 TEST(ServeFacade, SubmitMatchesBlockingSolve) {
   api::SolveRequest request = small_request();
-  const api::AdvectionSolver solver(request.options);
+  const api::Solver solver(request.options);
   const api::SolveResult blocking = solver.solve(request);
   ASSERT_TRUE(blocking.ok());
 
@@ -451,7 +451,7 @@ TEST(ServeFacade, InvalidFutureAndErrorPropagation) {
   // By value: the temporary future (and the shared state backing wait()'s
   // reference) dies at the end of the full expression.
   const api::SolveResult result =
-      api::AdvectionSolver(request.options).submit(request).wait();
+      api::Solver(request.options).submit(request).wait();
   EXPECT_EQ(result.error, api::SolveError::kEmptyGrid);
 }
 
@@ -463,7 +463,7 @@ TEST(ServeFacade, BlockingSolveIsARequestWrapper) {
   api::SolverOptions options;
   options.backend = api::Backend::kFused;
   options.kernel.chunk_y = 8;
-  const api::AdvectionSolver solver(options);
+  const api::Solver solver(options);
 
   const api::SolveResult positional = solver.solve(state, coefficients);
   const api::SolveResult via_request = solver.solve(

@@ -2,7 +2,7 @@
 // PW_SANITIZE=thread (scripts/ci.sh builds build-tsan and runs every
 // Serve* suite there): many submitter threads against one service, shared
 // external metrics registries, concurrent plan-cache lookups, and the raw
-// queue/pool primitives the service is built from.
+// pool primitive the service is built from.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 
 #include "pw/serve/service.hpp"
 #include "pw/serve/trace.hpp"
-#include "pw/util/mpmc_queue.hpp"
 #include "pw/util/thread_pool.hpp"
 
 namespace {
@@ -205,41 +204,6 @@ TEST(ServeStress, ResultCachePeakBytesNeverExceedsTheCap) {
   EXPECT_GT(stats->evictions, 0u);  // the cap actually bit
   const serve::ServiceReport report = service.report();
   EXPECT_LE(report.cache_peak_bytes, report.cache_byte_cap);
-}
-
-TEST(ServeStress, BoundedQueueManyProducersManyConsumers) {
-  util::BoundedMpmcQueue<std::size_t> queue(4);
-  constexpr std::size_t kProducers = 4;
-  constexpr std::size_t kConsumers = 4;
-  constexpr std::size_t kPerProducer = 256;
-
-  std::atomic<std::size_t> sum{0};
-  std::vector<std::thread> consumers;
-  for (std::size_t c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (auto item = queue.pop()) {
-        sum.fetch_add(*item);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (std::size_t i = 1; i <= kPerProducer; ++i) {
-        EXPECT_TRUE(queue.push(i));  // blocks when full, fails only closed
-      }
-    });
-  }
-  for (auto& thread : producers) {
-    thread.join();
-  }
-  queue.close();
-  for (auto& thread : consumers) {
-    thread.join();
-  }
-  const std::size_t expected =
-      kProducers * (kPerProducer * (kPerProducer + 1)) / 2;
-  EXPECT_EQ(sum.load(), expected);
 }
 
 TEST(ServeStress, ThreadPoolSubmitFromManyThreads) {

@@ -14,7 +14,10 @@ namespace {
 /// ShiftBuffer3D and checks every emitted stencil against direct indexing.
 /// A second buffer is fed the same values through advance(): at every step
 /// it must complete exactly when push() emits, its in-place window() must
-/// match direct indexing, and push()'s copy must equal that window.
+/// match direct indexing, and push()'s copy must equal that window. A third
+/// is fed whole columns through advance_column(): after each column it must
+/// have completed exactly the windows push() emitted during that column,
+/// each matching direct indexing.
 void check_volume(std::size_t nxp, std::size_t nyp, std::size_t nzp,
                   std::uint64_t seed) {
   // Synthetic volume with unique values per position.
@@ -29,6 +32,7 @@ void check_volume(std::size_t nxp, std::size_t nyp, std::size_t nzp,
 
   ShiftBuffer3D buffer(nyp, nzp);
   ShiftBuffer3D stepped(nyp, nzp);
+  ShiftBuffer3D columns(nyp, nzp);
   std::size_t emitted = 0;
   std::size_t expected_next = 0;
   // Expected emission order: centres in raster order over the interior.
@@ -43,6 +47,10 @@ void check_volume(std::size_t nxp, std::size_t nyp, std::size_t nzp,
 
   for (std::size_t i = 0; i < nxp; ++i) {
     for (std::size_t j = 0; j < nyp; ++j) {
+      const bool column_complete =
+          columns.advance_column(&volume[(i * nyp + j) * nzp]);
+      // Centres push() emits during this column.
+      std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> emits;
       for (std::size_t k = 0; k < nzp; ++k) {
         const bool complete = stepped.advance(at(i, j, k));
         auto out = buffer.push(at(i, j, k));
@@ -56,7 +64,8 @@ void check_volume(std::size_t nxp, std::size_t nyp, std::size_t nzp,
         EXPECT_EQ(out->ci, ci);
         EXPECT_EQ(out->cj, cj);
         EXPECT_EQ(out->ck, ck);
-        const advect::Stencil27& window = stepped.window();
+        emits.emplace_back(out->ci, out->cj, out->ck);
+        const auto window = stepped.window();
         for (int dx = -1; dx <= 1; ++dx) {
           for (int dy = -1; dy <= 1; ++dy) {
             for (int dz = -1; dz <= 1; ++dz) {
@@ -78,6 +87,32 @@ void check_volume(std::size_t nxp, std::size_t nyp, std::size_t nzp,
           }
         }
         ++emitted;
+      }
+
+      // The column feed completes the same windows, in the same order.
+      std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>
+          column_windows;
+      if (column_complete) {
+        for (std::size_t ck = 1; ck + 1 < nzp; ++ck) {
+          column_windows.emplace_back(i - 1, j - 1, ck);
+        }
+      }
+      ASSERT_EQ(column_windows, emits) << "column (" << i << "," << j << ")";
+      for (const auto& [ci, cj, ck] : column_windows) {
+        const auto window = columns.column_window(ck);
+        for (int dx = -1; dx <= 1; ++dx) {
+          for (int dy = -1; dy <= 1; ++dy) {
+            for (int dz = -1; dz <= 1; ++dz) {
+              ASSERT_EQ(window.at(dx, dy, dz),
+                        at(ci + static_cast<std::size_t>(dx),
+                           cj + static_cast<std::size_t>(dy),
+                           ck + static_cast<std::size_t>(dz)))
+                  << "column_window() at centre (" << ci << "," << cj << ","
+                  << ck << ") offset (" << dx << "," << dy << "," << dz
+                  << ")";
+            }
+          }
+        }
       }
     }
   }
@@ -139,6 +174,17 @@ TEST(ShiftBuffer3D, ResetRestartsRaster) {
     }
   }
   EXPECT_EQ(late, 1u);  // exactly the single interior centre of a 3x3x3
+}
+
+TEST(ShiftBuffer3D, AdvanceColumnNeedsAColumnStart) {
+  ShiftBuffer3D buffer(3, 4);
+  const double column[4] = {1.0, 2.0, 3.0, 4.0};
+  buffer.advance(0.0);
+  EXPECT_THROW(buffer.advance_column(column), std::logic_error);
+  for (int n = 1; n < 4; ++n) {
+    buffer.advance(0.0);
+  }
+  EXPECT_FALSE(buffer.advance_column(column));  // second column of plane 0
 }
 
 TEST(ShiftBuffer3D, NextWouldEmitPredictsEmission) {

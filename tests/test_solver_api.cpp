@@ -41,7 +41,7 @@ api::SolveResult run(const Fixture& f, api::Backend backend,
   }
   options.kernel.chunk_y = 8;
   options.metrics = metrics;
-  return api::AdvectionSolver(options).solve(f.state, f.coefficients);
+  return api::Solver(options).solve(f.state, f.coefficients);
 }
 
 TEST(SolverApi, DoubleBackendsAreBitIdentical) {
@@ -148,7 +148,7 @@ TEST(SolverApi, UnchunkedOverlappedHostDriverIsRejected) {
 
   const Fixture f;
   const auto result =
-      api::AdvectionSolver(options).solve(f.state, f.coefficients);
+      api::Solver(options).solve(f.state, f.coefficients);
   EXPECT_EQ(result.error, api::SolveError::kInvalidChunking);
   EXPECT_FALSE(result.ok());
 
@@ -180,7 +180,7 @@ TEST(SolverApi, HaloMismatchIsATypedError) {
   const auto coefficients = advect::PwCoefficients::from_geometry(
       grid::Geometry::uniform(dims, 100.0, 100.0, 50.0));
   const auto result =
-      api::AdvectionSolver(api::SolverOptions{}).solve(wide, coefficients);
+      api::Solver(api::SolverOptions{}).solve(wide, coefficients);
   EXPECT_EQ(result.error, api::SolveError::kHaloMismatch);
 }
 
@@ -295,19 +295,6 @@ TEST(SolverApi, AdvectionRequestWithoutCoefficientsIsRejected) {
   request.options = options;
   const auto result = api::Solver(options).solve(request);
   EXPECT_TRUE(result.ok()) << result.message;
-}
-
-TEST(SolverApi, AdvectionSolverAliasRemainsSourceCompatible) {
-  // The advection-only name is now an alias of the kernel-generic Solver;
-  // old call sites must keep compiling and produce the same results.
-  static_assert(std::is_same_v<api::AdvectionSolver, api::Solver>);
-  const Fixture f;
-  api::SolverOptions options;
-  options.kernel.chunk_y = 8;
-  const api::AdvectionSolver old_style(options);
-  const auto result = old_style.solve(f.state, f.coefficients);
-  ASSERT_TRUE(result.ok()) << result.message;
-  EXPECT_EQ(result.metrics.counters.at("solve.kernel.advect_pw"), 1u);
 }
 
 }  // namespace
