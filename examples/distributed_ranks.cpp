@@ -1,19 +1,21 @@
 // distributed_ranks: MONC's parallel setting around the paper's kernel —
 // the horizontal domain is decomposed over ranks (as MPI would), halos are
 // exchanged, and every rank runs its own FPGA-style dataflow datapath on
-// its patch, as if each rank drove its own accelerator. Verifies the
-// decomposed result is bit-identical to a single global pass and
-// demonstrates checkpointing via the snapshot format.
+// its patch, as if each rank drove its own accelerator. The ranks are the
+// simulated devices of a pw::shard::ShardedSolver (lint-checked halo plan,
+// one fused-engine pass per shard). Verifies the decomposed result is
+// bit-identical to a single global pass and demonstrates checkpointing via
+// the snapshot format.
 //
 //   ./distributed_ranks [--nx=32 --ny=32 --nz=16 --ranks=4
 //                        --checkpoint=/tmp/pw_state.bin]
 #include <iostream>
 
 #include "pw/advect/reference.hpp"
-#include "pw/decomp/exchange.hpp"
+#include "pw/api/request.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/io/field_io.hpp"
-#include "pw/kernel/fused.hpp"
+#include "pw/shard/sharded_solver.hpp"
 #include "pw/util/cli.hpp"
 #include "pw/util/timer.hpp"
 
@@ -38,35 +40,35 @@ int main(int argc, char** argv) {
     std::cout << "checkpoint round-tripped through " << *path << "\n";
   }
 
-  const auto decomposition = decomp::Decomposition::auto_grid(dims, ranks);
-  std::cout << "domain " << dims.nx << "x" << dims.ny << "x" << dims.nz
-            << " decomposed over " << decomposition.ranks() << " ranks ("
-            << decomposition.px() << "x" << decomposition.py()
-            << " process grid), each driving its own dataflow kernel\n";
-
   advect::SourceTerms global_out(dims);
   util::WallTimer timer;
   advect::advect_reference(state, coefficients, global_out);
   std::cout << "global single-rank pass:  " << timer.milliseconds()
             << " ms\n";
 
-  advect::SourceTerms distributed_out(dims);
+  api::SolverOptions options;
+  options.backend = api::Backend::kFused;
+  options.kernel.chunk_y = 16;
+  shard::ShardOptions shard_options;
+  shard_options.devices = ranks;
+  shard::ShardedSolver solver(shard_options);
   timer.reset();
-  decomp::distributed_advection(
-      decomposition, state, coefficients,
-      [](const grid::WindState& local, const advect::PwCoefficients& c,
-         advect::SourceTerms& local_out) {
-        kernel::run_kernel_fused(local, c, local_out,
-                                 kernel::KernelConfig{16});
-      },
-      distributed_out);
+  const api::SolveResult result =
+      solver.solve(api::borrow_request(state, coefficients, options));
+  if (!result.ok()) {
+    std::cerr << "distributed solve failed: " << result.message << "\n";
+    return 1;
+  }
+  const shard::ShardRunReport& report = solver.last_report();
   std::cout << "distributed dataflow pass: " << timer.milliseconds()
-            << " ms\n";
+            << " ms over " << report.devices_used << " ranks ("
+            << report.px << "x" << report.py
+            << " process grid), each driving its own dataflow kernel\n";
 
   const bool identical =
-      grid::compare_interior(global_out.su, distributed_out.su).bit_equal() &&
-      grid::compare_interior(global_out.sv, distributed_out.sv).bit_equal() &&
-      grid::compare_interior(global_out.sw, distributed_out.sw).bit_equal();
+      grid::compare_interior(global_out.su, result.terms->su).bit_equal() &&
+      grid::compare_interior(global_out.sv, result.terms->sv).bit_equal() &&
+      grid::compare_interior(global_out.sw, result.terms->sw).bit_equal();
   std::cout << "results " << (identical ? "bit-identical" : "DIFFER")
             << " across the decomposition\n";
   return identical ? 0 : 1;

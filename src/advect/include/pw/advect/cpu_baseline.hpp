@@ -14,10 +14,10 @@ struct CpuRunStats {
 };
 
 /// Threaded CPU baseline: the paper's "24 core Xeon" comparator. Work is
-/// decomposed over the slowest (x) dimension across a thread pool; the inner
-/// z loop is written over contiguous memory so the compiler can vectorise.
-/// Produces results bit-identical to advect_reference (each cell's
-/// arithmetic is the same inlined scheme).
+/// decomposed over the slowest (x) dimension across a thread pool, and each
+/// slice runs advect_reference's own loop (advect_reference_x_range), so the
+/// results are bit-identical to advect_reference. Throws
+/// std::invalid_argument on the shapes advect_reference rejects.
 class CpuAdvectorBaseline {
 public:
   explicit CpuAdvectorBaseline(util::ThreadPool& pool) : pool_(&pool) {}

@@ -22,6 +22,19 @@ struct SourceTerms {
 void advect_reference(const grid::WindState& state, const PwCoefficients& c,
                       SourceTerms& out);
 
+/// The check every advect_reference form runs first: throws
+/// std::invalid_argument unless the wind and source fields share one shape,
+/// every per-level coefficient vector has nz entries and the halo is >= 1.
+void check_shapes(const grid::WindState& state, const PwCoefficients& c,
+                  const SourceTerms& out);
+
+/// advect_reference's loop restricted to the interior x-planes
+/// [x_begin, x_end), without the shape check — the slice each pool worker
+/// of CpuAdvectorBaseline runs after one check_shapes on the caller.
+void advect_reference_x_range(const grid::WindState& state,
+                              const PwCoefficients& c, SourceTerms& out,
+                              std::size_t x_begin, std::size_t x_end);
+
 /// As advect_reference but gathering each cell's full 27-point stencils
 /// first (the access pattern the shift buffer produces). Exists to prove
 /// the stencil formulation is bit-identical to direct field indexing.

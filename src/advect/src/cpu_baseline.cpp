@@ -1,90 +1,21 @@
 #include "pw/advect/cpu_baseline.hpp"
 
 #include "pw/advect/flops.hpp"
-#include "pw/advect/scheme.hpp"
 #include "pw/util/parallel_for.hpp"
 #include "pw/util/timer.hpp"
 
 namespace pw::advect {
 
-namespace {
-
-void advect_x_range(const grid::WindState& state, const PwCoefficients& c,
-                    SourceTerms& out, std::size_t x_begin, std::size_t x_end) {
-  const auto ny = static_cast<std::ptrdiff_t>(state.u.ny());
-  const auto nz = static_cast<std::ptrdiff_t>(state.u.nz());
-  const auto& u = state.u;
-  const auto& v = state.v;
-  const auto& w = state.w;
-
-  for (std::size_t iu = x_begin; iu < x_end; ++iu) {
-    const auto i = static_cast<std::ptrdiff_t>(iu);
-    for (std::ptrdiff_t j = 0; j < ny; ++j) {
-      for (std::ptrdiff_t k = 0; k < nz; ++k) {
-        const bool top = k == nz - 1;
-        const ZCoeffs z{c.tzc1[static_cast<std::size_t>(k)],
-                        c.tzc2[static_cast<std::size_t>(k)],
-                        c.tzd1[static_cast<std::size_t>(k)],
-                        c.tzd2[static_cast<std::size_t>(k)]};
-
-        double su =
-            c.tcx * (u.at(i - 1, j, k) * (u.at(i, j, k) + u.at(i - 1, j, k)) -
-                     u.at(i + 1, j, k) * (u.at(i, j, k) + u.at(i + 1, j, k)));
-        su += c.tcy *
-              (u.at(i, j - 1, k) * (v.at(i, j - 1, k) + v.at(i + 1, j - 1, k)) -
-               u.at(i, j + 1, k) * (v.at(i, j, k) + v.at(i + 1, j, k)));
-        if (top) {
-          su += z.tzc1 * u.at(i, j, k - 1) *
-                (w.at(i, j, k - 1) + w.at(i + 1, j, k - 1));
-        } else {
-          su += z.tzc1 * u.at(i, j, k - 1) *
-                    (w.at(i, j, k - 1) + w.at(i + 1, j, k - 1)) -
-                z.tzc2 * u.at(i, j, k + 1) *
-                    (w.at(i, j, k) + w.at(i + 1, j, k));
-        }
-        out.su.at(i, j, k) = su;
-
-        double sv =
-            c.tcx *
-            (v.at(i - 1, j, k) * (u.at(i - 1, j, k) + u.at(i - 1, j + 1, k)) -
-             v.at(i + 1, j, k) * (u.at(i, j, k) + u.at(i, j + 1, k)));
-        sv += c.tcy * (v.at(i, j - 1, k) * (v.at(i, j, k) + v.at(i, j - 1, k)) -
-                       v.at(i, j + 1, k) * (v.at(i, j, k) + v.at(i, j + 1, k)));
-        if (top) {
-          sv += z.tzc1 * v.at(i, j, k - 1) *
-                (w.at(i, j, k - 1) + w.at(i, j + 1, k - 1));
-        } else {
-          sv += z.tzc1 * v.at(i, j, k - 1) *
-                    (w.at(i, j, k - 1) + w.at(i, j + 1, k - 1)) -
-                z.tzc2 * v.at(i, j, k + 1) *
-                    (w.at(i, j, k) + w.at(i, j + 1, k));
-        }
-        out.sv.at(i, j, k) = sv;
-
-        double sw =
-            c.tcx *
-            (w.at(i - 1, j, k) * (u.at(i - 1, j, k) + u.at(i - 1, j, k + 1)) -
-             w.at(i + 1, j, k) * (u.at(i, j, k) + u.at(i, j, k + 1)));
-        sw += c.tcy *
-              (w.at(i, j - 1, k) * (v.at(i, j - 1, k) + v.at(i, j - 1, k + 1)) -
-               w.at(i, j + 1, k) * (v.at(i, j, k) + v.at(i, j, k + 1)));
-        sw += z.tzd1 * w.at(i, j, k - 1) * (w.at(i, j, k) + w.at(i, j, k - 1)) -
-              z.tzd2 * w.at(i, j, k + 1) * (w.at(i, j, k) + w.at(i, j, k + 1));
-        out.sw.at(i, j, k) = sw;
-      }
-    }
-  }
-}
-
-}  // namespace
-
 CpuRunStats CpuAdvectorBaseline::run(const grid::WindState& state,
                                      const PwCoefficients& c,
                                      SourceTerms& out) const {
+  // Checked once on the calling thread, so a malformed call throws here
+  // rather than inside a pool worker.
+  check_shapes(state, c, out);
   util::WallTimer timer;
   util::parallel_for(*pool_, 0, state.u.nx(), [&](std::size_t lo,
                                                   std::size_t hi) {
-    advect_x_range(state, c, out, lo, hi);
+    advect_reference_x_range(state, c, out, lo, hi);
   });
   CpuRunStats stats;
   stats.seconds = timer.seconds();

@@ -6,8 +6,6 @@
 
 namespace pw::advect {
 
-namespace {
-
 void check_shapes(const grid::WindState& state, const PwCoefficients& c,
                   const SourceTerms& out) {
   if (!state.u.same_shape(out.su) || !state.u.same_shape(state.v) ||
@@ -15,13 +13,17 @@ void check_shapes(const grid::WindState& state, const PwCoefficients& c,
       !state.u.same_shape(out.sw)) {
     throw std::invalid_argument("advect: field shape mismatch");
   }
-  if (c.tzc1.size() != state.u.nz()) {
+  const std::size_t nz = state.u.nz();
+  if (c.tzc1.size() != nz || c.tzc2.size() != nz || c.tzd1.size() != nz ||
+      c.tzd2.size() != nz) {
     throw std::invalid_argument("advect: coefficient levels != nz");
   }
   if (state.u.halo() < 1) {
     throw std::invalid_argument("advect: PW scheme needs a halo of >= 1");
   }
 }
+
+namespace {
 
 ZCoeffs z_coeffs(const PwCoefficients& c, std::size_t k) {
   return {c.tzc1[k], c.tzc2[k], c.tzd1[k], c.tzd2[k]};
@@ -43,14 +45,20 @@ void gather(const grid::FieldD& f, std::ptrdiff_t i, std::ptrdiff_t j,
 void advect_reference(const grid::WindState& state, const PwCoefficients& c,
                       SourceTerms& out) {
   check_shapes(state, c, out);
-  const auto nx = static_cast<std::ptrdiff_t>(state.u.nx());
+  advect_reference_x_range(state, c, out, 0, state.u.nx());
+}
+
+void advect_reference_x_range(const grid::WindState& state,
+                              const PwCoefficients& c, SourceTerms& out,
+                              std::size_t x_begin, std::size_t x_end) {
   const auto ny = static_cast<std::ptrdiff_t>(state.u.ny());
   const auto nz = static_cast<std::ptrdiff_t>(state.u.nz());
   const auto& u = state.u;
   const auto& v = state.v;
   const auto& w = state.w;
 
-  for (std::ptrdiff_t i = 0; i < nx; ++i) {
+  for (auto i = static_cast<std::ptrdiff_t>(x_begin);
+       i < static_cast<std::ptrdiff_t>(x_end); ++i) {
     for (std::ptrdiff_t j = 0; j < ny; ++j) {
       for (std::ptrdiff_t k = 0; k < nz; ++k) {
         const bool top = k == nz - 1;

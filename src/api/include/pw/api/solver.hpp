@@ -92,12 +92,13 @@ enum class SolveError {
   kNoIterations,        ///< Jacobi/Poisson kernel with iterations == 0
   kInvalidDiffusivity,  ///< diffusion kappa negative or non-finite
   kInvalidSpacing,      ///< a kernel grid spacing is non-positive/non-finite
+  kCoefficientMismatch,  ///< an advection coefficient vector's length != nz
 };
 
 std::string describe(SolveError error);
 
 /// Every SolveError enumerator, for exhaustive iteration in tests.
-inline constexpr std::array<SolveError, 16> kAllSolveErrors = {
+inline constexpr std::array<SolveError, 17> kAllSolveErrors = {
     SolveError::kNone,
     SolveError::kEmptyGrid,
     SolveError::kHaloMismatch,
@@ -114,6 +115,7 @@ inline constexpr std::array<SolveError, 16> kAllSolveErrors = {
     SolveError::kNoIterations,
     SolveError::kInvalidDiffusivity,
     SolveError::kInvalidSpacing,
+    SolveError::kCoefficientMismatch,
 };
 
 // ---------------------------------------------------------------------------
@@ -338,6 +340,13 @@ SolveError validate(const SolverOptions& options);
 /// Full validation against a concrete grid.
 SolveError validate(const SolverOptions& options, const grid::GridDims& dims);
 
+/// The stencil engine `options.backend` runs on: the one backend -> engine
+/// map, shared by Solver::solve (declared kernels and advection's streaming
+/// backends) and every shard of a pw::shard::ShardedSolver. `metrics`, when
+/// non-null, receives each pass's span and counters.
+stencil::EngineConfig engine_config(const SolverOptions& options,
+                                    obs::MetricsRegistry* metrics = nullptr);
+
 struct SolveRequest;  // pw/api/request.hpp
 class SolveFuture;    // pw/api/request.hpp
 
@@ -364,7 +373,8 @@ class Solver {
   SolverOptions& options() noexcept { return options_; }
 
   /// Blocking solve of one request, honouring request.options. Never throws
-  /// on bad options — returns a SolveResult with a typed error instead.
+  /// on a malformed request: check_request's typed rejection is returned
+  /// before any backend runs.
   SolveResult solve(const SolveRequest& request) const;
 
   /// Thin wrapper over the request form using this solver's options.

@@ -103,6 +103,9 @@ std::string describe(SolveError error) {
       return "diffusion kappa must be finite and non-negative";
     case SolveError::kInvalidSpacing:
       return "kernel grid spacings must be finite and positive";
+    case SolveError::kCoefficientMismatch:
+      return "advection coefficients tzc1/tzc2/tzd1/tzd2 must each carry "
+             "exactly nz levels";
   }
   return "unknown error";
 }
@@ -284,17 +287,43 @@ lint::LintReport Solver::validate(const grid::GridDims& dims) const {
   return report;
 }
 
-namespace {
+std::optional<SolveResult> check_request(const SolveRequest& request) {
+  const Backend backend = request.options.backend.backend();
+  const bool advection =
+      request.options.kernel_spec.kernel() == Kernel::kAdvectPw;
+  if (!request.state) {
+    return error_result(SolveError::kEmptyGrid, backend,
+                        "request carries no wind state");
+  }
+  if (advection && !request.coefficients) {
+    return error_result(SolveError::kEmptyGrid, backend,
+                        "advection request carries no coefficients");
+  }
+  const grid::GridDims dims = request.state->u.dims();
+  SolveError error = validate(request.options, dims);
+  if (error == SolveError::kNone && request.state->u.halo() != 1) {
+    error = SolveError::kHaloMismatch;
+  }
+  if (error == SolveError::kNone && advection) {
+    const advect::PwCoefficients& c = *request.coefficients;
+    for (const std::vector<double>* levels :
+         {&c.tzc1, &c.tzc2, &c.tzd1, &c.tzd2}) {
+      if (levels->size() != dims.nz) {
+        error = SolveError::kCoefficientMismatch;
+      }
+    }
+  }
+  if (error != SolveError::kNone) {
+    return error_result(error, backend);
+  }
+  return std::nullopt;
+}
 
-/// Maps the backend selection onto the stencil machine's execution engine:
-/// the same six strategies (serial oracle, threaded, fused shift-buffer
-/// stream, multi-instance, chunked host, lane-batched) exist on both sides,
-/// so every declared kernel runs under every backend.
-stencil::EngineConfig engine_for(const SolverOptions& options,
-                                 obs::MetricsRegistry& registry) {
+stencil::EngineConfig engine_config(const SolverOptions& options,
+                                    obs::MetricsRegistry* metrics) {
   stencil::EngineConfig config;
   config.chunk_y = options.kernel.chunk_y;
-  config.metrics = &registry;
+  config.metrics = metrics;
   switch (options.backend.backend()) {
     case Backend::kReference:
       config.engine = stencil::Engine::kReference;
@@ -316,43 +345,26 @@ stencil::EngineConfig engine_for(const SolverOptions& options,
       config.x_chunks = options.backend.get_if<HostOptions>()->x_chunks;
       break;
     case Backend::kVectorized:
-      // Stencil kernels keep double math in lane batches, so the engine
-      // stays bit-identical to the oracle (unlike advection's f32 path).
-      config.engine = stencil::Engine::kLaneBatched;
-      config.lanes = options.backend.get_if<VectorizedOptions>()->lanes;
+      // Declared kernels keep double math, so they run the reference engine
+      // and stay bit-identical to the oracle (unlike advection's f32 path).
+      config.engine = stencil::Engine::kReference;
       break;
   }
   return config;
 }
 
-}  // namespace
-
 SolveResult Solver::solve(const SolveRequest& request) const {
+  if (std::optional<SolveResult> rejection = check_request(request)) {
+    return std::move(*rejection);
+  }
   const SolverOptions& options = request.options;
   const Backend backend = options.backend.backend();
   const Kernel kernel = options.kernel_spec.kernel();
-
-  if (!request.state) {
-    return error_result(SolveError::kEmptyGrid, backend,
-                        "request carries no wind state");
-  }
-  if (kernel == Kernel::kAdvectPw && !request.coefficients) {
-    return error_result(SolveError::kEmptyGrid, backend,
-                        "advection request carries no coefficients");
-  }
   const grid::WindState& state = *request.state;
   const grid::GridDims dims = state.u.dims();
 
   SolveResult result;
   result.backend = backend;
-  result.error = api::validate(options, dims);
-  if (result.error == SolveError::kNone && state.u.halo() != 1) {
-    result.error = SolveError::kHaloMismatch;
-  }
-  if (result.error != SolveError::kNone) {
-    result.message = describe(result.error);
-    return result;
-  }
 
   // One registry per solve unless the caller supplied a shared one; every
   // backend reports through it identically.
@@ -367,10 +379,10 @@ SolveResult Solver::solve(const SolveRequest& request) const {
                          std::string("solve/") + to_string(backend));
     if (kernel == Kernel::kDiffusion) {
       stencil::run_diffusion(state, *options.kernel_spec.get_if<DiffusionOptions>(),
-                             terms, engine_for(options, registry));
+                             terms, engine_config(options, &registry));
     } else if (kernel == Kernel::kPoissonJacobi) {
       stencil::run_poisson(state, *options.kernel_spec.get_if<PoissonOptions>(),
-                           terms, engine_for(options, registry));
+                           terms, engine_config(options, &registry));
     } else {
       const advect::PwCoefficients& coefficients = *request.coefficients;
       switch (backend) {
@@ -390,7 +402,7 @@ SolveResult Solver::solve(const SolveRequest& request) const {
         case Backend::kFused:
         case Backend::kMultiKernel:
           stencil::run_advect(state, coefficients, terms,
-                              engine_for(options, registry));
+                              engine_config(options, &registry));
           break;
         case Backend::kHostOverlap: {
           const HostOptions& host = *options.backend.get_if<HostOptions>();

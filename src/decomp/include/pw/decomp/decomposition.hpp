@@ -29,7 +29,8 @@ public:
   /// one cell in each split dimension (throws otherwise).
   Decomposition(grid::GridDims dims, std::size_t px, std::size_t py);
 
-  /// Picks a near-square process grid for `ranks` ranks.
+  /// Picks the most nearly square process grid for `ranks` ranks that fits
+  /// `dims`; of a pair and its transpose, the one with the smaller px.
   static Decomposition auto_grid(grid::GridDims dims, std::size_t ranks);
 
   std::size_t ranks() const noexcept { return extents_.size(); }

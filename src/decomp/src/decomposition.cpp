@@ -1,7 +1,6 @@
 #include "pw/decomp/decomposition.hpp"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
 
 namespace pw::decomp {
@@ -49,9 +48,11 @@ Decomposition Decomposition::auto_grid(grid::GridDims dims,
   if (ranks == 0) {
     throw std::invalid_argument("Decomposition: zero ranks");
   }
-  // Factor pair closest to square, respecting dimension bounds.
+  // Factor pair closest to square (smallest long/short side ratio),
+  // respecting dimension bounds. Ratios are compared exactly, by
+  // cross-multiplication, so a pair and its transpose always tie and the
+  // tie goes to the smaller px.
   std::size_t best_px = 0, best_py = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
   for (std::size_t px = 1; px <= ranks; ++px) {
     if (ranks % px != 0) {
       continue;
@@ -60,11 +61,9 @@ Decomposition Decomposition::auto_grid(grid::GridDims dims,
     if (px > dims.nx || py > dims.ny) {
       continue;
     }
-    const double score =
-        -std::fabs(std::log(static_cast<double>(px) /
-                            static_cast<double>(py)));
-    if (score > best_score) {
-      best_score = score;
+    if (best_px == 0 ||
+        std::max(px, py) * std::min(best_px, best_py) <
+            std::max(best_px, best_py) * std::min(px, py)) {
       best_px = px;
       best_py = py;
     }

@@ -35,7 +35,6 @@ struct PassStats {
   std::uint64_t field_values_streamed = 0;
   std::uint64_t stencils_emitted = 0;  ///< windows completed (fused engines)
   std::uint64_t chunks = 0;
-  std::uint64_t batches = 0;  ///< lane batches (kLaneBatched only)
 
   PassStats& operator+=(const PassStats& other) {
     cells += other.cells;
@@ -43,7 +42,6 @@ struct PassStats {
     field_values_streamed += other.field_values_streamed;
     stencils_emitted += other.stencils_emitted;
     chunks += other.chunks;
-    batches += other.batches;
     return *this;
   }
 };

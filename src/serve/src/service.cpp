@@ -259,29 +259,14 @@ api::SolveFuture SolveService::submit(api::SolveRequest request) {
   if (stopped_.load()) {
     return reject(std::move(state), api::SolveError::kServiceStopped, backend);
   }
+  if (std::optional<api::SolveResult> rejection =
+          api::check_request(request)) {
+    metrics_->counter_add("serve.admission.rejected_options");
+    return reject(std::move(state), rejection->error, backend,
+                  std::move(rejection->message));
+  }
   const api::Kernel kernel = request.options.kernel_spec.kernel();
-  if (!request.state) {
-    metrics_->counter_add("serve.admission.rejected_options");
-    return reject(std::move(state), api::SolveError::kEmptyGrid, backend,
-                  "request carries no wind state");
-  }
-  // Only PW advection carries a coefficients payload; declared stencil
-  // kernels travel with their knobs inside the KernelSpec.
-  if (kernel == api::Kernel::kAdvectPw && !request.coefficients) {
-    metrics_->counter_add("serve.admission.rejected_options");
-    return reject(std::move(state), api::SolveError::kEmptyGrid, backend,
-                  "advection request carries no coefficients");
-  }
-
   const grid::GridDims dims = request.state->u.dims();
-  api::SolveError error = api::validate(request.options, dims);
-  if (error == api::SolveError::kNone && request.state->u.halo() != 1) {
-    error = api::SolveError::kHaloMismatch;
-  }
-  if (error != api::SolveError::kNone) {
-    metrics_->counter_add("serve.admission.rejected_options");
-    return reject(std::move(state), error, backend, api::describe(error));
-  }
 
   // Plan lookup runs the lint battery (amortised per shape). An
   // inadmissible plan completes here — the request never reaches the queue,

@@ -84,9 +84,11 @@ class ShardedSolver {
   const ShardOptions& options() const noexcept { return options_; }
   ShardOptions& options() noexcept { return options_; }
 
-  /// Blocking sharded solve. Never throws on bad options — returns a typed
-  /// error like the single-device facade. Not thread-safe: one solve at a
-  /// time (the whole simulated device set cooperates on each solve).
+  /// Blocking sharded solve. Never throws on a malformed request: it returns
+  /// api::check_request's typed rejection, like the single-device facade,
+  /// before any device runs, so a bad request kills no device. Not
+  /// thread-safe: one solve at a time (the whole simulated device set
+  /// cooperates on each solve).
   api::SolveResult solve(const api::SolveRequest& request);
 
   /// The measured report of the most recent solve() (valid until the next).

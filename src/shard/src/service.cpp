@@ -96,14 +96,13 @@ std::optional<api::SolveResult> ShardedSolveService::admission_error(
     ++submitted_;
   }
 
-  // Admission: the same amortised lint battery the single-device service
-  // runs, keyed per request shape.
-  if (!request.state) {
+  // Admission: the shared request check, then the same amortised lint
+  // battery the single-device service runs, keyed per request shape.
+  if (std::optional<api::SolveResult> rejection =
+          api::check_request(request)) {
     std::lock_guard lock(mutex_);
     ++rejected_;
-    return api::error_result(api::SolveError::kEmptyGrid,
-                             request.options.backend.backend(),
-                             "request carries no wind state");
+    return rejection;
   }
   const grid::GridDims dims = request.state->u.dims();
   const auto plan = plans_.lookup(dims, request.options);

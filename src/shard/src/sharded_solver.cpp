@@ -4,6 +4,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "pw/stencil/advect.hpp"
 #include "pw/stencil/diffusion.hpp"
 #include "pw/stencil/poisson.hpp"
+#include "pw/stencil/spec.hpp"
 #include "pw/util/timer.hpp"
 
 namespace pw::shard {
@@ -31,53 +33,6 @@ std::size_t device_of_site(const std::string& site) {
   } catch (const std::exception&) {
     return kNoDevice;
   }
-}
-
-/// Backend -> stencil engine, the same mapping the single-device facade
-/// applies (api/src/solver.cpp engine_for) so a sharded solve runs the
-/// identical engine per shard that the whole-grid solve would run once.
-stencil::EngineConfig engine_for(const api::SolverOptions& options) {
-  stencil::EngineConfig config;
-  config.chunk_y = options.kernel.chunk_y;
-  switch (options.backend.backend()) {
-    case api::Backend::kReference:
-      config.engine = stencil::Engine::kReference;
-      break;
-    case api::Backend::kCpuBaseline:
-      config.engine = stencil::Engine::kThreaded;
-      config.threads =
-          options.backend.get_if<api::CpuBaselineOptions>()->threads;
-      break;
-    case api::Backend::kFused:
-      config.engine = stencil::Engine::kFused;
-      break;
-    case api::Backend::kMultiKernel:
-      config.engine = stencil::Engine::kMultiInstance;
-      config.instances =
-          options.backend.get_if<api::MultiKernelOptions>()->kernels;
-      break;
-    case api::Backend::kHostOverlap:
-      config.engine = stencil::Engine::kChunkedHost;
-      config.x_chunks = options.backend.get_if<api::HostOptions>()->x_chunks;
-      break;
-    case api::Backend::kVectorized:
-      config.engine = stencil::Engine::kLaneBatched;
-      config.lanes = options.backend.get_if<api::VectorizedOptions>()->lanes;
-      break;
-  }
-  return config;
-}
-
-const stencil::StencilSpec& spec_for(api::Kernel kernel) {
-  switch (kernel) {
-    case api::Kernel::kAdvectPw:
-      return stencil::advect_spec();
-    case api::Kernel::kDiffusion:
-      return stencil::diffusion_spec();
-    case api::Kernel::kPoissonJacobi:
-      return stencil::poisson_spec();
-  }
-  return stencil::advect_spec();
 }
 
 /// One simulated device's slice of the solve.
@@ -231,7 +186,8 @@ api::SolveResult ShardedSolver::run_partition(
   faulted_device = kNoDevice;
   const api::SolverOptions& options = request.options;
   const api::Kernel kernel = options.kernel_spec.kernel();
-  const stencil::StencilSpec& spec = spec_for(kernel);
+  const stencil::StencilSpec& spec =
+      *stencil::find_stencil(api::to_string(kernel));
   const grid::WindState& state = *request.state;
   const grid::GridDims dims = state.u.dims();
 
@@ -310,7 +266,9 @@ api::SolveResult ShardedSolver::run_partition(
     sweeps = std::max<std::size_t>(1, poisson_options->iterations);
   }
 
-  const stencil::EngineConfig engine = engine_for(options);
+  // The facade's backend -> engine map, without its metrics sink: the
+  // solver reports per shard through metrics_ instead.
+  const stencil::EngineConfig engine = api::engine_config(options);
   util::WallTimer exchange_timer;
   double exchange_wall = 0.0;
 
@@ -344,19 +302,16 @@ api::SolveResult ShardedSolver::run_partition(
           Shard& shard = shards[slot];
           fault::throw_if("shard." + std::to_string(shard.device) + ".pass");
           switch (kernel) {
-            case api::Kernel::kAdvectPw: {
-              const stencil::AdvectOp op(*request.coefficients, dims.nz);
-              stencil::run_pass(stencil::advect_spec(), shard.state,
-                                shard.out, op, engine);
+            case api::Kernel::kAdvectPw:
+              stencil::run_advect(shard.state, *request.coefficients,
+                                  shard.out, engine);
               break;
-            }
-            case api::Kernel::kDiffusion: {
-              const stencil::DiffusionOp op(
-                  *options.kernel_spec.get_if<api::DiffusionOptions>());
-              stencil::run_pass(stencil::diffusion_spec(), shard.state,
-                                shard.out, op, engine);
+            case api::Kernel::kDiffusion:
+              stencil::run_diffusion(
+                  shard.state,
+                  *options.kernel_spec.get_if<api::DiffusionOptions>(),
+                  shard.out, engine);
               break;
-            }
             case api::Kernel::kPoissonJacobi:
               stencil::run_poisson_sweep(
                   shard.state,
@@ -440,26 +395,15 @@ api::SolveResult ShardedSolver::solve(const api::SolveRequest& request) {
     dead_.resize(options_.devices, false);
   }
 
+  // A malformed request is rejected here, before any device runs, so it
+  // can never be mistaken for a device fault.
+  if (std::optional<api::SolveResult> rejection =
+          api::check_request(request)) {
+    return std::move(*rejection);
+  }
   const api::SolverOptions& options = request.options;
   const api::Backend backend = options.backend.backend();
-  if (!request.state) {
-    return api::error_result(api::SolveError::kEmptyGrid, backend,
-                             "request carries no wind state");
-  }
-  if (options.kernel_spec.kernel() == api::Kernel::kAdvectPw &&
-      !request.coefficients) {
-    return api::error_result(api::SolveError::kEmptyGrid, backend,
-                             "advection request carries no coefficients");
-  }
   const grid::GridDims dims = request.state->u.dims();
-  const api::SolveError invalid = api::validate(options, dims);
-  if (invalid != api::SolveError::kNone) {
-    return api::error_result(invalid, backend, api::describe(invalid));
-  }
-  if (request.state->u.halo() != 1) {
-    return api::error_result(api::SolveError::kHaloMismatch, backend,
-                             api::describe(api::SolveError::kHaloMismatch));
-  }
 
   std::vector<std::size_t> alive;
   for (std::size_t device = 0; device < options_.devices; ++device) {

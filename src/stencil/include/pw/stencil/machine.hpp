@@ -18,18 +18,17 @@
 
 namespace pw::stencil {
 
-/// Which execution strategy runs a declared kernel. These mirror the
-/// api::Backend strategies one-for-one — every engine computes the same
-/// cells with the same per-cell op, so all double-precision engines are
-/// bit-identical by construction (the property the differential tests
-/// assert per kernel).
+/// Which execution strategy runs a declared kernel. api::engine_config maps
+/// every api::Backend onto one of these (the f64 `vectorized` backend runs
+/// kReference) — every engine computes the same cells with the same
+/// per-cell op, so all double-precision engines are bit-identical by
+/// construction (the property the differential tests assert per kernel).
 enum class Engine {
   kReference,      ///< serial direct pass (the readable oracle path)
   kThreaded,       ///< X-partitioned direct pass on a ThreadPool
   kFused,          ///< Fig. 2/3 shift-buffer streaming machine, one instance
   kMultiInstance,  ///< N concurrent shift-buffer instances over X slabs
   kChunkedHost,    ///< sequential X-chunked shift-buffer slabs (host driver)
-  kLaneBatched,    ///< lane-batched traversal (batching stats; math stays f64)
 };
 
 struct EngineConfig {
@@ -38,7 +37,6 @@ struct EngineConfig {
   std::size_t threads = 0;    ///< kThreaded worker count (0 = hardware)
   std::size_t instances = 4;  ///< kMultiInstance kernel instances
   std::size_t x_chunks = 8;   ///< kChunkedHost slab count
-  std::size_t lanes = 8;      ///< kLaneBatched batch width
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -118,15 +116,6 @@ PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
       for (const kernel::XRange& slab : ranges) {
         kernel::pass_streaming(in, out, op, config.chunk_y, slab, &stats);
       }
-      break;
-    }
-    case Engine::kLaneBatched: {
-      // Lane batching shapes the traversal accounting (how many vector
-      // batches a lane-parallel datapath would issue); the arithmetic stays
-      // double so the engine remains bit-identical to the reference.
-      kernel::pass_direct(in, out, op, full, &stats);
-      const std::size_t lanes = config.lanes == 0 ? 1 : config.lanes;
-      stats.batches = (stats.cells + lanes - 1) / lanes;
       break;
     }
   }

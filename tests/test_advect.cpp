@@ -100,6 +100,16 @@ TEST_F(AdvectFixture, CpuBaselineBitExactWithReference) {
   EXPECT_TRUE(grid::compare_interior(out_->sw, threaded_out.sw).bit_equal());
 }
 
+TEST_F(AdvectFixture, CpuBaselineRejectsCoefficientMismatch) {
+  // 7 levels for an 8-level grid: the baseline used to read past the
+  // per-level vectors; it now runs advect_reference's shape check first.
+  init({8, 8, 8});
+  coefficients_ = PwCoefficients::from_geometry(small_geometry({8, 8, 7}));
+  util::ThreadPool pool(2);
+  EXPECT_THROW(CpuAdvectorBaseline(pool).run(*state_, coefficients_, *out_),
+               std::invalid_argument);
+}
+
 TEST_F(AdvectFixture, UniformFlowHasZeroHorizontalSourceTerms) {
   // With constant u=v=w over the periodic interior the flux differences
   // cancel except where the z boundary enters.

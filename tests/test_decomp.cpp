@@ -3,14 +3,15 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "pw/advect/coefficients.hpp"
+#include "pw/api/request.hpp"
 #include "pw/decomp/decomposition.hpp"
-#include "pw/decomp/exchange.hpp"
 #include "pw/decomp/halo_plan.hpp"
 #include "pw/grid/compare.hpp"
-#include "pw/kernel/fused.hpp"
+#include "pw/shard/sharded_solver.hpp"
 #include "pw/util/rng.hpp"
 
 namespace pw::decomp {
@@ -64,68 +65,6 @@ TEST(Decomposition, InvalidConfigurationsThrow) {
   EXPECT_THROW(Decomposition::auto_grid({2, 2, 2}, 0), std::invalid_argument);
   // 7 ranks can only factor as 7x1/1x7; neither fits a 4x4 grid.
   EXPECT_THROW(Decomposition::auto_grid({4, 4, 2}, 7), std::invalid_argument);
-}
-
-TEST(DistributedField, ScatterGatherRoundTrip) {
-  const grid::GridDims dims{8, 6, 4};
-  Decomposition d(dims, 2, 3);
-  grid::FieldD global(dims);
-  util::Rng rng(1);
-  for (std::size_t i = 0; i < dims.nx; ++i) {
-    for (std::size_t j = 0; j < dims.ny; ++j) {
-      for (std::size_t k = 0; k < dims.nz; ++k) {
-        global.at(static_cast<std::ptrdiff_t>(i),
-                  static_cast<std::ptrdiff_t>(j),
-                  static_cast<std::ptrdiff_t>(k)) = rng.uniform(-1, 1);
-      }
-    }
-  }
-  DistributedField field(d);
-  field.scatter(global);
-  grid::FieldD back(dims);
-  field.gather(back);
-  EXPECT_TRUE(grid::compare_interior(global, back).bit_equal());
-}
-
-TEST(DistributedField, HaloExchangeMatchesGlobalHalos) {
-  const grid::GridDims dims{6, 6, 4};
-  grid::WindState global(dims);
-  grid::init_random(global, 7);  // also fills periodic halos globally
-
-  Decomposition d(dims, 2, 2);
-  DistributedField field(d);
-  field.scatter(global.u);
-  field.exchange_halos();
-
-  for (std::size_t r = 0; r < d.ranks(); ++r) {
-    const RankExtent& e = d.extent(r);
-    const auto& local = field.local(r);
-    const auto lnx = static_cast<std::ptrdiff_t>(e.nx());
-    const auto lny = static_cast<std::ptrdiff_t>(e.ny());
-    for (std::ptrdiff_t i = -1; i <= lnx; ++i) {
-      for (std::ptrdiff_t j = -1; j <= lny; ++j) {
-        for (std::ptrdiff_t k = -1;
-             k <= static_cast<std::ptrdiff_t>(dims.nz); ++k) {
-          // Global equivalent coordinate (global halos are periodic).
-          const auto gx = static_cast<std::ptrdiff_t>(e.x_begin) + i;
-          const auto gy = static_cast<std::ptrdiff_t>(e.y_begin) + j;
-          double expected;
-          if (k < 0 || k >= static_cast<std::ptrdiff_t>(dims.nz)) {
-            expected = 0.0;
-          } else if (gx >= -1 &&
-                     gx <= static_cast<std::ptrdiff_t>(dims.nx) &&
-                     gy >= -1 &&
-                     gy <= static_cast<std::ptrdiff_t>(dims.ny)) {
-            expected = global.u.at(gx, gy, k);
-          } else {
-            continue;  // beyond the global halo (cannot occur for 1-halo)
-          }
-          EXPECT_DOUBLE_EQ(local.at(i, j, k), expected)
-              << "rank " << r << " (" << i << "," << j << "," << k << ")";
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -226,26 +165,51 @@ struct AdvectHarness {
   }
 };
 
+/// One sharded advection solve of `h` over `devices` simulated devices.
+api::SolveResult sharded_advection(const AdvectHarness& h,
+                                   std::size_t devices,
+                                   const api::SolverOptions& options,
+                                   shard::ShardRunReport& report) {
+  shard::ShardOptions shard_options;
+  shard_options.devices = devices;
+  shard::ShardedSolver solver(shard_options);
+  api::SolveResult result =
+      solver.solve(api::borrow_request(*h.state, h.coefficients, options));
+  report = solver.last_report();
+  return result;
+}
+
 class ProcessGridSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
+// Each px x py split runs as a ShardedSolver over px*py devices. auto_grid
+// picks the most nearly square split that fits the grid and breaks a tie
+// between transposes towards the smaller px, so a split with px > py runs
+// on a grid only py cells deep, where its transpose does not fit. The
+// transposed split runs too, so every split is covered in both
+// orientations.
 TEST_P(ProcessGridSweep, DistributedAdvectionBitExact) {
   const auto [px, py] = GetParam();
-  AdvectHarness h({12, 12, 8});
-  Decomposition d(h.dims, static_cast<std::size_t>(px),
-                  static_cast<std::size_t>(py));
-
-  advect::SourceTerms out(h.dims);
-  distributed_advection(
-      d, *h.state, h.coefficients,
-      [](const grid::WindState& local, const advect::PwCoefficients& c,
-         advect::SourceTerms& local_out) {
-        advect::advect_reference(local, c, local_out);
-      },
-      out);
-  EXPECT_TRUE(grid::compare_interior(h.reference->su, out.su).bit_equal());
-  EXPECT_TRUE(grid::compare_interior(h.reference->sv, out.sv).bit_equal());
-  EXPECT_TRUE(grid::compare_interior(h.reference->sw, out.sw).bit_equal());
+  std::vector<std::pair<std::size_t, std::size_t>> splits{
+      {static_cast<std::size_t>(px), static_cast<std::size_t>(py)}};
+  if (px != py) {
+    splits.emplace_back(py, px);
+  }
+  for (const auto& [sx, sy] : splits) {
+    AdvectHarness h({12, sx > sy ? sy : 12, 8});
+    shard::ShardRunReport report;
+    const api::SolveResult out =
+        sharded_advection(h, sx * sy, api::SolverOptions{}, report);
+    ASSERT_TRUE(out.ok()) << out.message;
+    EXPECT_EQ(report.px, sx);
+    EXPECT_EQ(report.py, sy);
+    EXPECT_TRUE(
+        grid::compare_interior(h.reference->su, out.terms->su).bit_equal());
+    EXPECT_TRUE(
+        grid::compare_interior(h.reference->sv, out.terms->sv).bit_equal());
+    EXPECT_TRUE(
+        grid::compare_interior(h.reference->sw, out.terms->sw).bit_equal());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, ProcessGridSweep,
@@ -258,18 +222,18 @@ TEST(DistributedAdvection, DataflowBackendPerRank) {
   // Each rank drives its own (software) FPGA datapath — the scale-out
   // arrangement the paper's MONC setting implies.
   AdvectHarness h({10, 8, 6});
-  Decomposition d(h.dims, 2, 2);
-  advect::SourceTerms out(h.dims);
-  distributed_advection(
-      d, *h.state, h.coefficients,
-      [](const grid::WindState& local, const advect::PwCoefficients& c,
-         advect::SourceTerms& local_out) {
-        kernel::run_kernel_fused(local, c, local_out,
-                                 kernel::KernelConfig{4});
-      },
-      out);
-  EXPECT_TRUE(grid::compare_interior(h.reference->su, out.su).bit_equal());
-  EXPECT_TRUE(grid::compare_interior(h.reference->sw, out.sw).bit_equal());
+  api::SolverOptions options;
+  options.backend = api::Backend::kFused;
+  options.kernel.chunk_y = 4;
+  shard::ShardRunReport report;
+  const api::SolveResult out = sharded_advection(h, 4, options, report);
+  ASSERT_TRUE(out.ok()) << out.message;
+  EXPECT_EQ(report.px, 2u);
+  EXPECT_EQ(report.py, 2u);
+  EXPECT_TRUE(
+      grid::compare_interior(h.reference->su, out.terms->su).bit_equal());
+  EXPECT_TRUE(
+      grid::compare_interior(h.reference->sw, out.terms->sw).bit_equal());
 }
 
 }  // namespace

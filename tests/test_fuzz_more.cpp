@@ -7,11 +7,12 @@
 
 #include "pw/advect/coefficients.hpp"
 #include "pw/advect/reference.hpp"
-#include "pw/decomp/exchange.hpp"
+#include "pw/api/request.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/io/field_io.hpp"
 #include "pw/kernel/fused.hpp"
 #include "pw/precision/reduced.hpp"
+#include "pw/shard/sharded_solver.hpp"
 #include "pw/util/rng.hpp"
 
 namespace pw {
@@ -76,20 +77,22 @@ TEST_P(DecompChunkFuzz, DistributedChunkedKernelsMatchReference) {
                  << dims.nx << "x" << dims.ny << "x" << dims.nz << " grid, "
                  << px << "x" << py << " ranks, chunk " << chunk);
 
-    decomp::Decomposition decomposition(dims, px, py);
-    advect::SourceTerms out(dims);
-    decomp::distributed_advection(
-        decomposition, state, coefficients,
-        [chunk](const grid::WindState& local,
-                const advect::PwCoefficients& c,
-                advect::SourceTerms& local_out) {
-          kernel::run_kernel_fused(local, c, local_out,
-                                   kernel::KernelConfig{chunk});
-        },
-        out);
-    ASSERT_TRUE(grid::compare_interior(reference.su, out.su).bit_equal());
-    ASSERT_TRUE(grid::compare_interior(reference.sv, out.sv).bit_equal());
-    ASSERT_TRUE(grid::compare_interior(reference.sw, out.sw).bit_equal());
+    api::SolverOptions options;
+    options.backend = api::Backend::kFused;
+    options.kernel.chunk_y = chunk;
+    shard::ShardOptions shard_options;
+    shard_options.devices = px * py;
+    shard::ShardedSolver solver(shard_options);
+    const api::SolveResult out =
+        solver.solve(api::borrow_request(state, coefficients, options));
+    ASSERT_TRUE(out.ok()) << out.message;
+    ASSERT_EQ(solver.last_report().devices_used, px * py);
+    ASSERT_TRUE(
+        grid::compare_interior(reference.su, out.terms->su).bit_equal());
+    ASSERT_TRUE(
+        grid::compare_interior(reference.sv, out.terms->sv).bit_equal());
+    ASSERT_TRUE(
+        grid::compare_interior(reference.sw, out.terms->sw).bit_equal());
   }
 }
 

@@ -9,7 +9,7 @@
 
 #include "pw/advect/coefficients.hpp"
 #include "pw/advect/cpu_baseline.hpp"
-#include "pw/decomp/exchange.hpp"
+#include "pw/api/request.hpp"
 #include "pw/fpga/memory_model.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/kernel/cycle_stages.hpp"
@@ -19,6 +19,7 @@
 #include "pw/exp/devices.hpp"
 #include "pw/fpga/resource_estimate.hpp"
 #include "pw/ocl/host_driver.hpp"
+#include "pw/shard/sharded_solver.hpp"
 #include "pw/util/thread_pool.hpp"
 
 namespace pw {
@@ -78,17 +79,17 @@ TEST(Integration, DistributedModelStepMatchesGlobal) {
   auto reference = std::make_unique<advect::SourceTerms>(dims);
   advect::advect_reference(*state, coefficients, *reference);
 
-  const auto decomposition = decomp::Decomposition::auto_grid(dims, 8);
-  advect::SourceTerms out(dims);
-  decomp::distributed_advection(
-      decomposition, *state, coefficients,
-      [](const grid::WindState& local, const advect::PwCoefficients& c,
-         advect::SourceTerms& local_out) {
-        kernel::run_kernel_fused(local, c, local_out,
-                                 kernel::KernelConfig{16});
-      },
-      out);
-  EXPECT_TRUE(grid::compare_interior(reference->su, out.su).bit_equal());
+  api::SolverOptions options;
+  options.backend = api::Backend::kFused;
+  options.kernel.chunk_y = 16;
+  shard::ShardOptions shard_options;
+  shard_options.devices = 8;
+  shard::ShardedSolver solver(shard_options);
+  const api::SolveResult out =
+      solver.solve(api::borrow_request(*state, coefficients, options));
+  ASSERT_TRUE(out.ok()) << out.message;
+  EXPECT_EQ(solver.last_report().devices_used, 8u);
+  EXPECT_TRUE(grid::compare_interior(reference->su, out.terms->su).bit_equal());
 }
 
 TEST(Integration, MiniMoncTenRk3StepsStayFinite) {

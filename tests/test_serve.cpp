@@ -110,6 +110,22 @@ TEST(ServeService, InvalidOptionsAreTypedErrorsNotWorkerRuns) {
   EXPECT_EQ(report.batch_size.count, 0u);  // nothing ever dispatched
 }
 
+TEST(ServeService, CoefficientMismatchIsRejectedAtAdmission) {
+  // Coefficients for nz -/+ 1 levels used to pass admission and throw on a
+  // pool worker, leaving the future incomplete forever.
+  serve::SolveService service;
+  for (const std::size_t levels : {15, 17}) {
+    api::SolveRequest request = small_request();  // a 16^3 grid
+    request.coefficients = shared_coefficients({16, 16, levels});
+    const api::SolveFuture future = service.submit(request);
+    ASSERT_TRUE(future.wait_for(10s));
+    EXPECT_EQ(future.result().error, api::SolveError::kCoefficientMismatch);
+  }
+  const serve::ServiceReport report = service.report();
+  EXPECT_EQ(report.rejected_options, 2u);
+  EXPECT_EQ(report.computed, 0u);
+}
+
 TEST(ServeService, LintRejectedRequestNeverReachesAWorker) {
   // chunk_y = 4 passes option-level validation but trips the
   // shift_buffer.short_burst lint warning; a kWarning admission policy

@@ -6,9 +6,11 @@
 // sharded routing service.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "pw/advect/coefficients.hpp"
 #include "pw/api/request.hpp"
@@ -18,6 +20,7 @@
 #include "pw/fault/injector.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/grid/init.hpp"
+#include "pw/serve/service.hpp"
 #include "pw/shard/service.hpp"
 #include "pw/shard/sharded_solver.hpp"
 #include "pw/shard/topology.hpp"
@@ -70,6 +73,14 @@ api::SolveRequest request_for(const Fixture& f, api::Kernel kernel,
       std::make_shared<advect::PwCoefficients>(f.coefficients);
   request.options = options;
   return request;
+}
+
+/// Advection coefficients for `levels` levels over `dims`' horizontal extent.
+std::shared_ptr<const advect::PwCoefficients> coefficients_with_levels(
+    const grid::GridDims& dims, std::size_t levels) {
+  return std::make_shared<const advect::PwCoefficients>(
+      advect::PwCoefficients::from_geometry(grid::Geometry::uniform(
+          {dims.nx, dims.ny, levels}, 100.0, 100.0, 50.0)));
 }
 
 void expect_bit_exact(const api::SolveResult& a, const api::SolveResult& b) {
@@ -254,6 +265,29 @@ TEST(ShardChaos, FailoverDisabledSurfacesBackendFault) {
     result = solver.solve(request);
   }
   EXPECT_EQ(result.error, api::SolveError::kBackendFault);
+}
+
+TEST(ShardChaos, CoefficientMismatchKillsNoDevice) {
+  // Coefficients for nz -/+ 1 levels used to throw inside every shard's
+  // pass, which marked all four devices dead and fell back to the CPU rung.
+  const Fixture f;
+  shard::ShardOptions options;
+  options.devices = 4;
+  shard::ShardedSolver solver(options);
+  for (const std::size_t levels : {kDims.nz - 1, kDims.nz + 1}) {
+    api::SolveRequest request =
+        request_for(f, api::Kernel::kAdvectPw, api::Backend::kFused);
+    request.coefficients = coefficients_with_levels(kDims, levels);
+    api::SolveResult result;
+    EXPECT_NO_THROW(result = solver.solve(request));
+    EXPECT_EQ(result.error, api::SolveError::kCoefficientMismatch);
+    EXPECT_FALSE(result.degraded);
+  }
+  EXPECT_EQ(solver.dead_devices(), 0u);
+  const api::SolveResult well_formed = solver.solve(
+      request_for(f, api::Kernel::kAdvectPw, api::Backend::kFused));
+  EXPECT_TRUE(well_formed.ok()) << well_formed.message;
+  EXPECT_EQ(solver.last_report().devices_used, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -530,6 +564,83 @@ TEST(ShardReport, ThreadCpuClockIsMonotonic) {
   }
   const double b = shard::thread_cpu_seconds();
   EXPECT_GE(b + (spin > 1e30 ? 1.0 : 0.0), a);
+}
+
+// ---------------------------------------------------------------------------
+// One request check: every solve entry point rejects each malformed request
+// with the same typed error, before any device runs.
+
+struct MalformedRequest {
+  std::string name;
+  api::SolveRequest request;
+  api::SolveError expected;
+};
+
+std::vector<MalformedRequest> malformed_requests() {
+  const grid::GridDims dims{8, 8, 8};
+  auto state = std::make_shared<grid::WindState>(dims);
+  grid::init_random(*state, 17);
+  const auto advection = [&](api::SolverOptions options = {}) {
+    return api::make_request(state, coefficients_with_levels(dims, dims.nz),
+                             std::move(options));
+  };
+
+  std::vector<MalformedRequest> cases;
+  cases.push_back(
+      {"no state", api::SolveRequest{}, api::SolveError::kEmptyGrid});
+  cases.push_back({"advection without coefficients",
+                   api::make_request(state, api::SolverOptions{}),
+                   api::SolveError::kEmptyGrid});
+  for (const std::size_t levels : {dims.nz - 1, dims.nz + 1}) {
+    api::SolveRequest request = advection();
+    request.coefficients = coefficients_with_levels(dims, levels);
+    cases.push_back({"coefficients for " + std::to_string(levels) + " levels",
+                     request, api::SolveError::kCoefficientMismatch});
+  }
+  api::SolveRequest halo2 = advection();
+  halo2.state = std::make_shared<grid::WindState>(dims, 2);
+  cases.push_back({"halo 2", halo2, api::SolveError::kHaloMismatch});
+
+  api::SolverOptions options;
+  options.backend = api::MultiKernelOptions{.kernels = 0};
+  cases.push_back({"multi_kernel with 0 kernels", advection(options),
+                   api::SolveError::kNoKernelInstances});
+  options = {};
+  options.kernel_spec = api::PoissonOptions{.iterations = 0};
+  cases.push_back({"poisson with 0 iterations",
+                   api::make_request(state, options),
+                   api::SolveError::kNoIterations});
+  options.kernel_spec = api::DiffusionOptions{.kappa = -1.0};
+  cases.push_back({"diffusion with kappa < 0",
+                   api::make_request(state, options),
+                   api::SolveError::kInvalidDiffusivity});
+  return cases;
+}
+
+TEST(SharedRequestCheck, EveryEntryPointRejectsAlike) {
+  serve::SolveService service;
+  shard::ShardOptions shard_options;
+  shard_options.devices = 4;
+  shard::ShardedSolver sharded(shard_options);
+  shard::ShardServiceConfig config;
+  config.shard.devices = 4;
+  shard::ShardedSolveService sharded_service(config);
+
+  for (const MalformedRequest& c : malformed_requests()) {
+    SCOPED_TRACE(c.name);
+    const api::SolveFuture submitted = api::Solver().submit(c.request);
+    const api::SolveFuture served = service.submit(c.request);
+    ASSERT_TRUE(submitted.wait_for(std::chrono::seconds(10)));
+    ASSERT_TRUE(served.wait_for(std::chrono::seconds(10)));
+    EXPECT_EQ(api::Solver().solve(c.request).error, c.expected);
+    EXPECT_EQ(submitted.result().error, c.expected);
+    EXPECT_EQ(served.result().error, c.expected);
+    EXPECT_EQ(sharded.solve(c.request).error, c.expected);
+    EXPECT_EQ(sharded_service.submit(c.request).error, c.expected);
+  }
+  EXPECT_EQ(sharded.dead_devices(), 0u);
+  EXPECT_EQ(sharded_service.solver().dead_devices(), 0u);
+  EXPECT_EQ(service.report().computed, 0u);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // metrics snapshot.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <memory>
 
 #include "pw/advect/coefficients.hpp"
 #include "pw/advect/flops.hpp"
@@ -182,6 +184,46 @@ TEST(SolverApi, HaloMismatchIsATypedError) {
   const auto result =
       api::Solver(api::SolverOptions{}).solve(wide, coefficients);
   EXPECT_EQ(result.error, api::SolveError::kHaloMismatch);
+}
+
+/// Coefficients for the fixture's grid with `levels` levels instead of nz.
+advect::PwCoefficients coefficients_with_levels(const grid::GridDims& dims,
+                                                std::size_t levels) {
+  return advect::PwCoefficients::from_geometry(grid::Geometry::uniform(
+      {dims.nx, dims.ny, levels}, 100.0, 100.0, 50.0));
+}
+
+TEST(SolverApi, CoefficientMismatchIsATypedError) {
+  // nz - 1 and nz + 1 levels: the reference and fused backends used to
+  // throw std::invalid_argument, cpu_baseline read past the vectors.
+  const Fixture f;
+  for (const std::size_t levels : {f.dims.nz - 1, f.dims.nz + 1}) {
+    const advect::PwCoefficients coefficients =
+        coefficients_with_levels(f.dims, levels);
+    for (const api::Backend backend :
+         {api::Backend::kReference, api::Backend::kFused,
+          api::Backend::kCpuBaseline}) {
+      api::SolveResult result;
+      EXPECT_NO_THROW(result = api::Solver(api::SolverOptions{backend})
+                                   .solve(f.state, coefficients));
+      EXPECT_EQ(result.error, api::SolveError::kCoefficientMismatch)
+          << api::to_string(backend);
+    }
+  }
+}
+
+TEST(SolverApi, SubmitWithCoefficientMismatchCompletesTyped) {
+  // The async facade used to abort the process: its worker thread let the
+  // solve's exception escape.
+  const Fixture f;
+  for (const std::size_t levels : {f.dims.nz - 1, f.dims.nz + 1}) {
+    const api::SolveFuture future = api::Solver().submit(api::make_request(
+        std::make_shared<const grid::WindState>(f.state),
+        std::make_shared<const advect::PwCoefficients>(
+            coefficients_with_levels(f.dims, levels))));
+    ASSERT_TRUE(future.wait_for(std::chrono::seconds(10)));
+    EXPECT_EQ(future.result().error, api::SolveError::kCoefficientMismatch);
+  }
 }
 
 TEST(SolverApi, DescribeCoversAllErrors) {

@@ -90,10 +90,10 @@ void expect_bit_equal(const advect::SourceTerms& reference,
   EXPECT_TRUE(dw.bit_equal()) << label << ": sw mismatches=" << dw.mismatches;
 }
 
-constexpr std::array<stencil::Engine, 6> kAllEngines = {
+constexpr std::array<stencil::Engine, 5> kAllEngines = {
     stencil::Engine::kReference,     stencil::Engine::kThreaded,
     stencil::Engine::kFused,         stencil::Engine::kMultiInstance,
-    stencil::Engine::kChunkedHost,   stencil::Engine::kLaneBatched};
+    stencil::Engine::kChunkedHost};
 
 advect::PwCoefficients coefficients_for(const grid::GridDims& dims) {
   return advect::PwCoefficients::from_geometry(
