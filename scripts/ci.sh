@@ -71,9 +71,11 @@
 #                              windows are pointer arithmetic with
 #                              negative offsets, read by concurrent
 #                              instances), and the
-#                              shard label runs one pass thread per
+#                              shard label runs one resident worker per
 #                              simulated device (including the chaos test
-#                              that kills a whole shard mid-solve), and the
+#                              that kills a whole shard mid-solve, and the
+#                              decomposition, fuzz and integration suites
+#                              that shard over up to 144 devices), and the
 #                              qos label races the WFQ/EDF schedulers, the
 #                              tiered result cache and the quota-shed path
 #                              under concurrent submitters. Also skipped
@@ -158,7 +160,7 @@ cmake -B build-tsan -S . -DPW_SANITIZE=thread \
 cmake --build build-tsan -j "$JOBS" --target \
   test_serve test_serve_stress test_stream_fabric \
   test_fault test_fault_chaos test_backend_differential test_stencil \
-  test_shard test_qos \
+  test_shard test_decomp test_fuzz_more test_integration test_qos \
   test_shift_buffer test_kernel_equivalence test_precision test_vectorized
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R '^Serve'

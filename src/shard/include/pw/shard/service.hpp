@@ -102,8 +102,10 @@ util::Table to_table(const ShardServiceReport& report);
 /// kills a device, the service drops it from the ring — its cache dies
 /// with it, its keyspace migrates to the ring successors — and the request
 /// itself completes through the solver's re-partition/CPU-failover ladder,
-/// flagged degraded. Thread-safe; solves are serialised (the whole device
-/// set cooperates on each one).
+/// flagged degraded. Thread-safe: concurrent submitters share admission and
+/// the caches, and their cache misses run one at a time on the one
+/// ShardedSolver (the whole device set, with its resident partition and
+/// per-device workers, cooperates on each solve).
 class ShardedSolveService {
  public:
   explicit ShardedSolveService(ShardServiceConfig config = {});
@@ -154,6 +156,9 @@ class ShardedSolveService {
   serve::FingerprintCache fingerprints_;
   std::unique_ptr<serve::sched::Scheduler<std::size_t>> scheduler_;
   std::mutex sched_mutex_;  ///< serialises push/drain waves on scheduler_
+  /// Serialises solver_ solves and the reads of their report; taken before
+  /// mutex_, never while holding it.
+  std::mutex solve_mutex_;
 
   mutable std::mutex mutex_;
   HashRing ring_;

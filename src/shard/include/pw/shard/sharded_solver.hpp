@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "pw/api/request.hpp"
@@ -50,8 +51,9 @@ struct ShardRunReport {
   std::uint64_t halo_messages = 0;     ///< cross-device messages
   double exchange_model_s = 0.0;       ///< modelled wire time, all exchanges
   double exchange_wall_s = 0.0;        ///< measured host copy time
-  /// Per-shard compute: thread CPU seconds of each shard's pass thread
-  /// (index = position in the final partition, not device id).
+  /// Per-shard compute: thread CPU seconds of each shard's sweep passes on
+  /// its worker, scatter and gather excluded (index = position in the final
+  /// partition, not device id).
   std::vector<double> shard_cpu_s;
   std::vector<std::size_t> shard_device;  ///< device id per partition slot
   double max_shard_cpu_s = 0.0;  ///< slowest shard (compute critical path)
@@ -72,6 +74,17 @@ struct ShardRunReport {
 /// the single-device pw::api::Solver for every registered kernel and every
 /// backend, which the shard differential battery asserts.
 ///
+/// The partition is resident, as a board keeps its fields in device memory
+/// between kernel calls: the decomposition, the linted halo plan, each
+/// shard's field buffers and one worker thread per shard are built once per
+/// (grid dims, alive devices) — counted by the `shard.partitions_built`
+/// counter — and reused by every later solve of that shape. A solve only
+/// scatters interiors, exchanges halos (every halo cell rewritten, the
+/// Dirichlet zeros included), runs the passes and gathers into its fresh
+/// result; each shard's scatter, passes and gather run on its own worker,
+/// the exchange on the calling thread between them. A device death or a
+/// new grid shape drops the partition and builds the next one.
+///
 /// Fault sites, consulted per shard: `shard.<device>.pass` before each
 /// shard's sweep pass and `shard.<device>.exchange` before copying halos
 /// into that device. Device ids are persistent across re-partitions, so a
@@ -80,6 +93,10 @@ struct ShardRunReport {
 class ShardedSolver {
  public:
   explicit ShardedSolver(ShardOptions options = {});
+  ~ShardedSolver();  ///< joins the resident partition's workers
+
+  ShardedSolver(const ShardedSolver&) = delete;
+  ShardedSolver& operator=(const ShardedSolver&) = delete;
 
   const ShardOptions& options() const noexcept { return options_; }
   ShardOptions& options() noexcept { return options_; }
@@ -101,6 +118,8 @@ class ShardedSolver {
   obs::MetricsRegistry& metrics() noexcept { return *metrics_; }
 
  private:
+  class ResidentPartition;
+
   api::SolveResult run_partition(const api::SolveRequest& request,
                                  const std::vector<std::size_t>& devices,
                                  std::size_t& faulted_device);
@@ -110,6 +129,7 @@ class ShardedSolver {
   obs::MetricsRegistry* metrics_;
   std::vector<bool> dead_;  ///< indexed by device id
   ShardRunReport report_;
+  std::unique_ptr<ResidentPartition> partition_;  ///< null until a solve
 };
 
 }  // namespace pw::shard

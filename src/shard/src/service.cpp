@@ -226,8 +226,10 @@ api::SolveResult ShardedSolveService::route_and_solve(
     }
   }
 
-  // Miss: the whole device set cooperates on the sharded solve. The solver
-  // is internally serialised, so the service runs one solve at a time too.
+  // Miss: the whole device set cooperates on the sharded solve, one solve
+  // at a time. solve_mutex_ also covers the reads of the solver's report
+  // and death counters below, which the next solve overwrites.
+  std::lock_guard solve_lock(solve_mutex_);
   api::SolveResult result = solver_.solve(request);
 
   std::lock_guard lock(mutex_);

@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pw/advect/coefficients.hpp"
@@ -529,6 +530,140 @@ TEST(ShardService, TableRendersOneRowPerDevice) {
   shard::ShardedSolveService service(config);
   const util::Table table = shard::to_table(service.report());
   EXPECT_EQ(table.rows(), 4u);  // 3 devices + totals
+}
+
+TEST(ShardService, ConcurrentSubmittersAreSerialised) {
+  // Every cache miss runs on the one shared ShardedSolver; its solves must
+  // not interleave, whichever thread submits them.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 30;
+  const grid::GridDims dims{48, 48, 16};
+  shard::ShardServiceConfig config;
+  config.shard.devices = 4;
+  shard::ShardedSolveService service(config);
+
+  // Distinct seeded inputs, so every submission misses the cache.
+  std::vector<api::SolveRequest> requests;
+  std::vector<api::SolveResult> expected;
+  for (std::size_t n = 0; n < kThreads * kPerThread; ++n) {
+    auto state = std::make_shared<grid::WindState>(dims);
+    grid::init_random(*state, 9000 + n);
+    api::SolverOptions options;
+    options.backend = api::Backend::kReference;
+    options.kernel_spec = api::kAllKernels[n % std::size(api::kAllKernels)];
+    if (options.kernel_spec.kernel() == api::Kernel::kPoissonJacobi) {
+      options.kernel_spec = api::PoissonOptions{.iterations = 3};
+    }
+    requests.push_back(
+        options.kernel_spec.kernel() == api::Kernel::kAdvectPw
+            ? api::make_request(state, coefficients_with_levels(dims, dims.nz),
+                                options)
+            : api::make_request(state, options));
+    expected.push_back(api::Solver().solve(requests.back()));
+  }
+
+  std::vector<api::SolveResult> results(requests.size());
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const std::size_t n = i * kThreads + t;
+        results[n] = service.submit(requests[n]);
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) {
+    submitter.join();
+  }
+  for (std::size_t n = 0; n < requests.size(); ++n) {
+    SCOPED_TRACE(n);
+    expect_bit_exact(expected[n], results[n]);
+    EXPECT_FALSE(results[n].degraded);
+  }
+  EXPECT_EQ(service.report().computed, requests.size());
+  EXPECT_EQ(service.solver().dead_devices(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Resident partitions: decomposition, halo plan, shard buffers and workers
+// are built once per (grid dims, alive devices) and reused across solves.
+
+std::uint64_t partitions_built(shard::ShardedSolver& solver) {
+  return solver.metrics().counter("shard.partitions_built");
+}
+
+TEST(ShardResident, MixedBoundaryRulesShareOnePartition) {
+  // Poisson's Dirichlet edges after a periodic kernel: every exchange on a
+  // reused partition must rewrite every halo cell, the zeros included.
+  const Fixture f;
+  const api::Kernel sequence[] = {
+      api::Kernel::kAdvectPw, api::Kernel::kPoissonJacobi,
+      api::Kernel::kDiffusion, api::Kernel::kPoissonJacobi,
+      api::Kernel::kAdvectPw};
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    shard::ShardOptions options;
+    options.devices = shards;
+    shard::ShardedSolver solver(options);
+    for (const api::Kernel kernel : sequence) {
+      SCOPED_TRACE(api::to_string(kernel));
+      const api::SolveRequest request =
+          request_for(f, kernel, api::Backend::kFused);
+      expect_bit_exact(api::Solver().solve(request), solver.solve(request));
+      EXPECT_EQ(solver.last_report().devices_used, shards);
+    }
+    EXPECT_EQ(partitions_built(solver), 1u);
+  }
+}
+
+TEST(ShardResident, RebuildsForNewGridOrDeadDevice) {
+  const Fixture f;
+  shard::ShardOptions options;
+  options.devices = 4;
+  shard::ShardedSolver solver(options);
+  const api::SolveRequest diffusion =
+      request_for(f, api::Kernel::kDiffusion, api::Backend::kReference);
+  const api::SolveResult single = api::Solver().solve(diffusion);
+  expect_bit_exact(single, solver.solve(diffusion));
+  expect_bit_exact(single, solver.solve(diffusion));
+  EXPECT_EQ(partitions_built(solver), 1u);
+
+  // A second grid shape: exactly one more build.
+  const grid::GridDims other{16, 20, 5};
+  auto state = std::make_shared<grid::WindState>(other);
+  grid::init_random(*state, 77);
+  api::SolverOptions poisson_options;
+  poisson_options.backend = api::Backend::kFused;
+  poisson_options.kernel_spec = api::PoissonOptions{.iterations = 4};
+  const api::SolveRequest poisson = api::make_request(state, poisson_options);
+  const api::SolveResult poisson_single = api::Solver().solve(poisson);
+  expect_bit_exact(poisson_single, solver.solve(poisson));
+  EXPECT_EQ(partitions_built(solver), 2u);
+  EXPECT_EQ(solver.last_report().devices_used, 4u);
+
+  // Device 2 dies mid-solve: the retry builds over the three survivors.
+  fault::FaultInjector injector(kill_device_plan(2, 1));
+  api::SolveResult degraded;
+  {
+    fault::ScopedArm arm(injector);
+    degraded = solver.solve(poisson);
+  }
+  expect_bit_exact(poisson_single, degraded);
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_EQ(solver.dead_devices(), 1u);
+  EXPECT_EQ(partitions_built(solver), 3u);
+  EXPECT_EQ(solver.last_report().devices_used, 3u);
+
+  // Later solves on the same grid reuse the survivors' partition.
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    const api::SolveResult again = solver.solve(poisson);
+    expect_bit_exact(poisson_single, again);
+    EXPECT_TRUE(again.degraded);
+  }
+  EXPECT_EQ(partitions_built(solver), 3u);
+  for (const std::size_t device : solver.last_report().shard_device) {
+    EXPECT_NE(device, 2u);
+  }
 }
 
 // ---------------------------------------------------------------------------
