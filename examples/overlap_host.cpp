@@ -14,6 +14,7 @@
 #include "pw/fpga/perf_model.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/ocl/host_driver.hpp"
+#include "pw/stencil/advect.hpp"
 #include "pw/util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -36,11 +37,13 @@ int main(int argc, char** argv) {
       grid::Geometry::uniform(dims, 100.0, 100.0, 50.0));
 
   // Kernel timing comes from the device's performance model; transfer
-  // timing from its PCIe personality.
-  ocl::HostDriverConfig config;
+  // timing from its PCIe personality. Each chunk's kernel is the fused
+  // machine pass.
+  ocl::HostOptions config;
   config.x_chunks = chunks;
   config.timing.full_duplex = device.pcie.full_duplex;
-  config.kernel.chunk_y = 16;
+  const stencil::EngineConfig engine{.engine = stencil::Engine::kFused,
+                                     .chunk_y = 16};
   config.kernel_time_model = [&](const grid::GridDims& slab) {
     fpga::KernelOnlyInput input;
     input.dims = slab;
@@ -57,8 +60,11 @@ int main(int argc, char** argv) {
                                         : device.pcie.single_stream_gbps();
     config.timing.d2h_gbps = config.timing.h2d_gbps;
     advect::SourceTerms out(dims);
-    const auto result = ocl::advect_via_host(state, coefficients, out,
-                                             config);
+    const auto result = ocl::HostDriver(config, engine)
+                            .run(stencil::advect_spec(),
+                                 kernel::inputs<3>(state),
+                                 kernel::outputs<3>(out),
+                                 stencil::AdvectOp(coefficients, dims.nz));
     const double gflops = static_cast<double>(advect::total_flops(dims)) /
                           result.seconds / 1e9;
     std::printf(

@@ -70,7 +70,9 @@
 #                              shift-buffer ring suites (its in-place
 #                              windows are pointer arithmetic with
 #                              negative offsets, read by concurrent
-#                              instances), and the
+#                              instances) and the host-driver suite
+#                              (test_ocl: slab transfers in place in the
+#                              caller's fields), and the
 #                              shard label runs one resident worker per
 #                              simulated device (including the chaos test
 #                              that kills a whole shard mid-solve, and the
@@ -144,7 +146,8 @@ cmake -B build-ubsan -S . -DPW_SANITIZE=undefined \
 cmake --build build-ubsan -j "$JOBS" --target \
   test_stream_fabric test_fault test_fault_chaos \
   test_backend_differential test_stencil test_check \
-  test_shift_buffer test_kernel_equivalence test_precision test_vectorized
+  test_shift_buffer test_kernel_equivalence test_precision test_vectorized \
+  test_ocl
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L streams
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
@@ -161,7 +164,8 @@ cmake --build build-tsan -j "$JOBS" --target \
   test_serve test_serve_stress test_stream_fabric \
   test_fault test_fault_chaos test_backend_differential test_stencil \
   test_shard test_decomp test_fuzz_more test_integration test_qos \
-  test_shift_buffer test_kernel_equivalence test_precision test_vectorized
+  test_shift_buffer test_kernel_equivalence test_precision test_vectorized \
+  test_ocl
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R '^Serve'
 TSAN_OPTIONS=halt_on_error=1 \

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,7 +15,7 @@
 #include "pw/kernel/config.hpp"
 #include "pw/lint/diagnostic.hpp"
 #include "pw/obs/metrics.hpp"
-#include "pw/ocl/runtime.hpp"
+#include "pw/ocl/host_driver.hpp"
 #include "pw/stencil/diffusion.hpp"
 #include "pw/stencil/poisson.hpp"
 
@@ -53,7 +52,7 @@ enum class Backend {
   kCpuBaseline,  ///< threaded CPU comparator (paper's 24-core Xeon row)
   kFused,        ///< single fused dataflow kernel (FPGA datapath, 1 thread)
   kMultiKernel,  ///< N concurrent kernel instances (multi-compute-unit)
-  kHostOverlap,  ///< full host driver: chunked PCIe transfers + kernels
+  kHostOverlap,  ///< Fig. 6 host driver: X-chunked transfers + kernels
   kVectorized,   ///< float32 vector-batch datapath (Versal AIE sketch)
 };
 
@@ -93,12 +92,13 @@ enum class SolveError {
   kInvalidDiffusivity,  ///< diffusion kappa negative or non-finite
   kInvalidSpacing,      ///< a kernel grid spacing is non-positive/non-finite
   kCoefficientMismatch,  ///< an advection coefficient vector's length != nz
+  kInternal,  ///< an engine threw something that is not a device fault
 };
 
 std::string describe(SolveError error);
 
 /// Every SolveError enumerator, for exhaustive iteration in tests.
-inline constexpr std::array<SolveError, 17> kAllSolveErrors = {
+inline constexpr std::array<SolveError, 18> kAllSolveErrors = {
     SolveError::kNone,
     SolveError::kEmptyGrid,
     SolveError::kHaloMismatch,
@@ -116,6 +116,7 @@ inline constexpr std::array<SolveError, 17> kAllSolveErrors = {
     SolveError::kInvalidDiffusivity,
     SolveError::kInvalidSpacing,
     SolveError::kCoefficientMismatch,
+    SolveError::kInternal,
 };
 
 // ---------------------------------------------------------------------------
@@ -139,18 +140,12 @@ struct VectorizedOptions {
   std::size_t lanes = 8;  ///< f32 vector width
 };
 
-/// Host-driver knobs for Backend::kHostOverlap. Deliberately *without* its
-/// own KernelConfig: SolverOptions.kernel is the single construction point
-/// for kernel configuration (previously HostDriverConfig.kernel and the
-/// free-floating KernelConfig could drift apart).
-struct HostOptions {
-  std::size_t x_chunks = 8;
-  bool overlapped = true;  ///< false: one write / one kernel / one read
-  ocl::DeviceTiming timing;
-  /// Simulated kernel duration per slab (e.g. from fpga::model_kernel_only);
-  /// defaults to zero-time kernels.
-  std::function<double(const grid::GridDims&)> kernel_time_model;
-};
+/// Knobs of Backend::kHostOverlap: the ocl::HostDriver's own struct, which
+/// every kernel's host_overlap runs through (X-chunks, overlap, device
+/// timing, kernel time model). Deliberately *without* a KernelConfig:
+/// SolverOptions.kernel is the single construction point for the kernel
+/// each chunk runs.
+using HostOptions = ocl::HostOptions;
 
 /// The backend selection *and* its knobs as one value: a tagged union whose
 /// alternatives mirror the Backend enumerators in order. Assigning a plain
@@ -343,7 +338,10 @@ SolveError validate(const SolverOptions& options, const grid::GridDims& dims);
 /// The stencil engine `options.backend` runs on: the one backend -> engine
 /// map, shared by Solver::solve (declared kernels and advection's streaming
 /// backends) and every shard of a pw::shard::ShardedSolver. `metrics`, when
-/// non-null, receives each pass's span and counters.
+/// non-null, receives each pass's span and counters. host_overlap maps to
+/// kFused: that is what the ocl::HostDriver's kernel runs on each X-chunk,
+/// and what a shard runs, since ShardOptions::interconnect already prices
+/// a shard's host link.
 stencil::EngineConfig engine_config(const SolverOptions& options,
                                     obs::MetricsRegistry* metrics = nullptr);
 
@@ -355,8 +353,11 @@ class SolveFuture;    // pw/api/request.hpp
 /// MetricsRegistry (a `solve/<backend>` span plus whatever the backend
 /// layers emit). options().kernel_spec selects the kernel (PW advection by
 /// default). Every kernel's fused, multi_kernel and host_overlap backends
-/// run stencil::run_pass, so advection reports `stencil.advect_pw.*` like
-/// the declared kernels. The low-level entry points (advect_reference,
+/// run stencil::run_pass (host_overlap once per X-chunk, inside the
+/// ocl::HostDriver's Fig. 6 schedule), so advection reports
+/// `stencil.advect_pw.*` like the declared kernels. Any exception an engine
+/// throws comes back typed: a fault::FaultError as kBackendFault, anything
+/// else as kInternal. The low-level entry points (advect_reference,
 /// stencil::run_pass, stencil::run_diffusion, ...) remain available for
 /// code that needs the raw stats structs.
 ///

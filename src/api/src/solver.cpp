@@ -106,6 +106,8 @@ std::string describe(SolveError error) {
     case SolveError::kCoefficientMismatch:
       return "advection coefficients tzc1/tzc2/tzd1/tzd2 must each carry "
              "exactly nz levels";
+    case SolveError::kInternal:
+      return "an engine failed with an error that is not a device fault";
   }
   return "unknown error";
 }
@@ -332,17 +334,14 @@ stencil::EngineConfig engine_config(const SolverOptions& options,
       config.engine = stencil::Engine::kThreaded;
       config.threads = options.backend.get_if<CpuBaselineOptions>()->threads;
       break;
-    case Backend::kFused:
-      config.engine = stencil::Engine::kFused;
-      break;
     case Backend::kMultiKernel:
       config.engine = stencil::Engine::kMultiInstance;
       config.instances =
           options.backend.get_if<MultiKernelOptions>()->kernels;
       break;
+    case Backend::kFused:
     case Backend::kHostOverlap:
-      config.engine = stencil::Engine::kChunkedHost;
-      config.x_chunks = options.backend.get_if<HostOptions>()->x_chunks;
+      config.engine = stencil::Engine::kFused;
       break;
     case Backend::kVectorized:
       // Declared kernels keep double math, so they run the reference engine
@@ -352,6 +351,41 @@ stencil::EngineConfig engine_config(const SolverOptions& options,
   }
   return config;
 }
+
+namespace {
+
+/// Runs the request's kernel with `pass(spec, in, out, op)` as each of its
+/// passes, Poisson's through the one sweep loop.
+template <typename Pass>
+void run_kernel(const SolveRequest& request, advect::SourceTerms& terms,
+                const Pass& pass) {
+  const grid::WindState& state = *request.state;
+  const KernelSpec& spec = request.options.kernel_spec;
+  switch (spec.kernel()) {
+    case Kernel::kAdvectPw:
+      pass(stencil::advect_spec(), kernel::inputs<3>(state),
+           kernel::outputs<3>(terms),
+           stencil::AdvectOp(*request.coefficients, state.u.nz()));
+      break;
+    case Kernel::kDiffusion:
+      pass(stencil::diffusion_spec(), kernel::inputs<3>(state),
+           kernel::outputs<3>(terms),
+           stencil::DiffusionOp(*spec.get_if<DiffusionOptions>()));
+      break;
+    case Kernel::kPoissonJacobi: {
+      const PoissonOptions& params = *spec.get_if<PoissonOptions>();
+      const stencil::PoissonOp op(params);
+      stencil::run_poisson(
+          state, params, terms,
+          [&](const kernel::InViews<2>& in, const kernel::OutViews<1>& next) {
+            return pass(stencil::poisson_spec(), in, next, op);
+          });
+      break;
+    }
+  }
+}
+
+}  // namespace
 
 SolveResult Solver::solve(const SolveRequest& request) const {
   if (std::optional<SolveResult> rejection = check_request(request)) {
@@ -377,61 +411,50 @@ SolveResult Solver::solve(const SolveRequest& request) const {
   try {
     obs::Span solve_span(registry,
                          std::string("solve/") + to_string(backend));
-    if (kernel == Kernel::kDiffusion) {
-      stencil::run_diffusion(state, *options.kernel_spec.get_if<DiffusionOptions>(),
-                             terms, engine_config(options, &registry));
-    } else if (kernel == Kernel::kPoissonJacobi) {
-      stencil::run_poisson(state, *options.kernel_spec.get_if<PoissonOptions>(),
-                           terms, engine_config(options, &registry));
-    } else {
-      const advect::PwCoefficients& coefficients = *request.coefficients;
-      switch (backend) {
-        case Backend::kReference:
-          advect::advect_reference(state, coefficients, terms);
-          break;
-        case Backend::kCpuBaseline: {
-          util::ThreadPool pool(
-              options.backend.get_if<CpuBaselineOptions>()->threads);
-          const advect::CpuAdvectorBaseline baseline(pool);
-          const auto stats = baseline.run(state, coefficients, terms);
-          registry.gauge_set("cpu_baseline.threads",
-                             static_cast<double>(stats.threads));
-          registry.gauge_set("cpu_baseline.gflops", stats.gflops);
-          break;
-        }
-        case Backend::kFused:
-        case Backend::kMultiKernel:
-          stencil::run_advect(state, coefficients, terms,
-                              engine_config(options, &registry));
-          break;
-        case Backend::kHostOverlap: {
-          const HostOptions& host = *options.backend.get_if<HostOptions>();
-          ocl::HostDriverConfig host_config;
-          host_config.x_chunks = host.x_chunks;
-          host_config.overlapped = host.overlapped;
-          host_config.timing = host.timing;
-          host_config.kernel_time_model = host.kernel_time_model;
-          host_config.kernel = options.kernel;  // the single construction point
-          host_config.metrics = &registry;
-          ocl::advect_via_host(state, coefficients, terms, host_config);
-          break;
-        }
-        case Backend::kVectorized:
-          kernel::run_kernel_vectorized_f32(
-              state, coefficients, terms, options.kernel,
-              options.backend.get_if<VectorizedOptions>()->lanes);
-          break;
-      }
+    const stencil::EngineConfig engine = engine_config(options, &registry);
+    if (backend == Backend::kHostOverlap) {
+      // Every kernel's host_overlap: the Fig. 6 driver, each X-chunk's
+      // kernel running `engine` on the device buffers.
+      ocl::HostDriver driver(*options.backend.get_if<HostOptions>(), engine);
+      run_kernel(request, terms, [&](const auto& spec, const auto& in,
+                                     const auto& out, const auto& op) {
+        return driver.run(spec, in, out, op).stats;
+      });
+    } else if (kernel != Kernel::kAdvectPw || backend == Backend::kFused ||
+               backend == Backend::kMultiKernel) {
+      run_kernel(request, terms, [&](const auto& spec, const auto& in,
+                                     const auto& out, const auto& op) {
+        return stencil::run_pass(spec, in, out, op, engine);
+      });
+    } else if (backend == Backend::kReference) {
+      advect::advect_reference(state, *request.coefficients, terms);
+    } else if (backend == Backend::kCpuBaseline) {
+      util::ThreadPool pool(
+          options.backend.get_if<CpuBaselineOptions>()->threads);
+      const advect::CpuAdvectorBaseline baseline(pool);
+      const auto stats = baseline.run(state, *request.coefficients, terms);
+      registry.gauge_set("cpu_baseline.threads",
+                         static_cast<double>(stats.threads));
+      registry.gauge_set("cpu_baseline.gflops", stats.gflops);
+    } else {  // advection's f32 vectorized datapath
+      kernel::run_kernel_vectorized_f32(
+          state, *request.coefficients, terms, options.kernel,
+          options.backend.get_if<VectorizedOptions>()->lanes);
     }
-  } catch (const fault::FaultError& e) {
-    // An injected (or, with real hardware, genuine) backend fault: surface
-    // it as a typed error so the serve layer can retry / fail over instead
-    // of the exception unwinding through a worker thread.
-    registry.counter_add("solve.backend_fault");
-    SolveResult faulted = error_result(SolveError::kBackendFault, backend,
-                                       e.what());
-    faulted.metrics = registry.snapshot();
-    return faulted;
+  } catch (const std::exception& e) {
+    // Typed instead of unwinding through Solver::submit's or a service
+    // worker's thread. An injected (or, with real hardware, genuine)
+    // fault::FaultError is a backend fault the serve layer retries or fails
+    // over on; anything else an engine throws is not, so it is kInternal.
+    const bool device_fault =
+        dynamic_cast<const fault::FaultError*>(&e) != nullptr;
+    registry.counter_add(device_fault ? "solve.backend_fault"
+                                      : "solve.internal_error");
+    SolveResult failed = error_result(
+        device_fault ? SolveError::kBackendFault : SolveError::kInternal,
+        backend, e.what());
+    failed.metrics = registry.snapshot();
+    return failed;
   }
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

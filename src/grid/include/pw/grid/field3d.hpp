@@ -10,6 +10,28 @@
 
 namespace pw::grid {
 
+/// A non-owning view of a field in Field3D's layout: a pointer to interior
+/// cell (0, 0, 0), the interior dims, the halo depth and the element
+/// strides between neighbouring x-planes and y-columns (z is contiguous).
+/// T is `const double` for a read-only view. The passes read and write
+/// fields through these, so one pass runs over a whole Field3D (view()) or
+/// over an X-slab of one held in a device buffer.
+template <typename T>
+struct FieldView {
+  T* origin = nullptr;
+  GridDims dims;
+  std::size_t halo = 0;
+  std::ptrdiff_t stride_i = 0;
+  std::ptrdiff_t stride_j = 0;
+
+  /// Signed access including halos; i/j/k in [-halo, n+halo). On a view
+  /// whose origin is a cell, at(dx, dy, dz) reads that cell's neighbours.
+  T& at(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k) const {
+    return origin[i * stride_i + j * stride_j + k];
+  }
+  T& centre() const { return *origin; }
+};
+
 /// A 3D field in MONC memory layout: z (k) fastest, then y (j), then x (i),
 /// with a halo of configurable depth on every face. Interior indices run
 /// [0, n); halo indices extend to [-halo, n + halo).
@@ -38,14 +60,10 @@ public:
   std::size_t halo() const noexcept { return halo_; }
   std::size_t cells() const noexcept { return dims_.cells(); }
   std::size_t bytes_interior() const noexcept { return cells() * sizeof(T); }
-  /// Elements between neighbouring x-planes and y-columns (z is contiguous)
-  /// — what a strided view of a cell's neighbourhood steps by.
-  std::ptrdiff_t stride_i() const noexcept {
-    return static_cast<std::ptrdiff_t>(stride_i_);
-  }
-  std::ptrdiff_t stride_j() const noexcept {
-    return static_cast<std::ptrdiff_t>(stride_j_);
-  }
+
+  /// The whole field as a view, halos included.
+  FieldView<T> view() noexcept { return view_of(data_.data()); }
+  FieldView<const T> view() const noexcept { return view_of(data_.data()); }
 
   /// Signed access including halos; i/j/k in [-halo, n+halo).
   T& at(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k) {
@@ -129,6 +147,13 @@ public:
   }
 
 private:
+  template <typename V>
+  FieldView<V> view_of(V* data) const noexcept {
+    return {data + offset(0, 0, 0), dims_, halo_,
+            static_cast<std::ptrdiff_t>(stride_i_),
+            static_cast<std::ptrdiff_t>(stride_j_)};
+  }
+
   std::size_t offset(std::ptrdiff_t i, std::ptrdiff_t j,
                      std::ptrdiff_t k) const noexcept {
     const auto h = static_cast<std::ptrdiff_t>(halo_);

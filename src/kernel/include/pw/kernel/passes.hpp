@@ -63,31 +63,34 @@ struct Window<S, 3> {
   S w;
 };
 
-/// One field's 27-point neighbourhood read in place from the grid through
-/// its strides (z is contiguous) — the direct pass's gather-free view.
-struct GridStencil {
-  const double* centre_ptr = nullptr;
-  std::ptrdiff_t stride_i = 0;
-  std::ptrdiff_t stride_j = 0;
+/// What a pass reads and writes: views of an op's kFieldsIn input and
+/// kFieldsOut output fields.
+template <std::size_t N>
+using InViews = std::array<grid::FieldView<const double>, N>;
+template <std::size_t N>
+using OutViews = std::array<grid::FieldView<double>, N>;
 
-  double at(int dx, int dy, int dz) const {
-    return centre_ptr[dx * stride_i + dy * stride_j + dz];
-  }
-  double centre() const { return *centre_ptr; }
-};
-
-namespace detail {
-
-/// The first N of three fields: an op's inputs of (u, v, w) or its outputs
-/// of (su, sv, sw).
-template <std::size_t N, typename Field>
-std::array<Field*, N> first(Field& a, Field& b, Field& c) {
-  static_assert(N >= 1 && N <= 3, "ops read and write 1 to 3 fields");
-  const std::array<Field*, 3> all{&a, &b, &c};
-  std::array<Field*, N> head{};
+/// An op's inputs over whole fields: views of the first N of (u, v, w).
+template <std::size_t N>
+InViews<N> inputs(const grid::WindState& state) {
+  static_assert(N >= 1 && N <= 3, "ops read 1 to 3 fields");
+  const InViews<3> all{state.u.view(), state.v.view(), state.w.view()};
+  InViews<N> head{};
   std::copy_n(all.begin(), N, head.begin());
   return head;
 }
+
+/// An op's outputs over whole fields: views of the first N of (su, sv, sw).
+template <std::size_t N>
+OutViews<N> outputs(advect::SourceTerms& out) {
+  static_assert(N >= 1 && N <= 3, "ops write 1 to 3 fields");
+  const OutViews<3> all{out.su.view(), out.sv.view(), out.sw.view()};
+  OutViews<N> head{};
+  std::copy_n(all.begin(), N, head.begin());
+  return head;
+}
+
+namespace detail {
 
 template <std::size_t N, typename FieldStencil, std::size_t... I>
 auto make_window(const FieldStencil& field, std::index_sequence<I...>) {
@@ -110,10 +113,11 @@ std::array<BasicShiftBuffer3D<T>, sizeof...(I)> make_buffers(
 
 // ---------------------------------------------------------------------------
 // The two primitive passes. An Op declares its field arity and maps one
-// cell's Window<S, kFieldsIn> to its outputs:
+// cell's Window<S, kFieldsIn> to its outputs; a pass reads kFieldsIn input
+// views (the window's u, v, w in order) and writes kFieldsOut output views:
 //
-//   static constexpr std::size_t kFieldsIn;   // reads the first of u, v, w
-//   static constexpr std::size_t kFieldsOut;  // writes the first of su, sv, sw
+//   static constexpr std::size_t kFieldsIn;   // 1 to 3 input fields
+//   static constexpr std::size_t kFieldsOut;  // 1 to 3 output fields
 //   template <typename W>
 //   std::array<double, kFieldsOut> operator()(const W&, const CellCtx&) const
 //
@@ -128,30 +132,32 @@ std::array<BasicShiftBuffer3D<T>, sizeof...(I)> make_buffers(
 /// views of the fields' own storage — no per-cell gather or copy. This is
 /// the access pattern of advect_reference, generalised.
 template <typename Op>
-void pass_direct(const grid::WindState& in, advect::SourceTerms& out,
-                 const Op& op, XRange xr, PassStats* stats = nullptr) {
+void pass_direct(const InViews<Op::kFieldsIn>& in,
+                 const OutViews<Op::kFieldsOut>& out, const Op& op, XRange xr,
+                 PassStats* stats = nullptr) {
   constexpr std::size_t kIn = Op::kFieldsIn;
   constexpr std::size_t kOut = Op::kFieldsOut;
-  const auto fields = detail::first<kIn>(in.u, in.v, in.w);
-  const auto results = detail::first<kOut>(out.su, out.sv, out.sw);
-  const auto ny = static_cast<std::ptrdiff_t>(in.u.ny());
-  const auto nz = static_cast<std::ptrdiff_t>(in.u.nz());
+  const auto ny = static_cast<std::ptrdiff_t>(in[0].dims.ny);
+  const auto nz = static_cast<std::ptrdiff_t>(in[0].dims.nz);
 
   for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(xr.begin);
        i < static_cast<std::ptrdiff_t>(xr.end); ++i) {
     for (std::ptrdiff_t j = 0; j < ny; ++j) {
       std::array<const double*, kIn> column{};
       for (std::size_t f = 0; f < kIn; ++f) {
-        column[f] = &fields[f]->at(i, j, 0);
+        column[f] = &in[f].at(i, j, 0);
       }
       std::array<double*, kOut> dst{};
       for (std::size_t o = 0; o < kOut; ++o) {
-        dst[o] = &results[o]->at(i, j, 0);
+        dst[o] = &out[o].at(i, j, 0);
       }
       for (std::ptrdiff_t k = 0; k < nz; ++k) {
+        // Each field's view re-centred on the cell: its 27-point
+        // neighbourhood read in place, with no gather.
         const auto window = detail::make_window<kIn>([&](std::size_t f) {
-          return GridStencil{column[f] + k, fields[f]->stride_i(),
-                             fields[f]->stride_j()};
+          return grid::FieldView<const double>{column[f] + k, in[f].dims,
+                                               in[f].halo, in[f].stride_i,
+                                               in[f].stride_j};
         });
         const std::array<double, kOut> values = op(window, CellCtx{i, j, k});
         for (std::size_t o = 0; o < kOut; ++o) {
@@ -176,15 +182,14 @@ void pass_direct(const grid::WindState& in, advect::SourceTerms& out,
 /// the read stage's cast) and the op's results are widened as they are
 /// stored (hls::from_value, the write stage's).
 template <typename T = double, typename Op>
-void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
-                    const Op& op, std::size_t chunk_y, XRange xr,
+void pass_streaming(const InViews<Op::kFieldsIn>& in,
+                    const OutViews<Op::kFieldsOut>& out, const Op& op,
+                    std::size_t chunk_y, XRange xr,
                     PassStats* stats = nullptr) {
   constexpr std::size_t kIn = Op::kFieldsIn;
   constexpr std::size_t kOut = Op::kFieldsOut;
-  const grid::GridDims dims = in.u.dims();
+  const grid::GridDims dims = in[0].dims;
   const ChunkPlan plan(dims, chunk_y);
-  const auto fields = detail::first<kIn>(in.u, in.v, in.w);
-  const auto results = detail::first<kOut>(out.su, out.sv, out.sw);
   const auto nz = static_cast<std::ptrdiff_t>(dims.nz);
   const std::size_t nz_padded = dims.nz + 2;
   std::vector<T> converted(std::is_same_v<T, double> ? 0 : nz_padded);
@@ -203,7 +208,7 @@ void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
         // Each field's padded z-column, bottom halo to top halo.
         bool complete = false;
         for (std::size_t f = 0; f < kIn; ++f) {
-          const double* column = &fields[f]->at(i, j, -1);
+          const double* column = &in[f].at(i, j, -1);
           if constexpr (std::is_same_v<T, double>) {
             complete = buffers[f].advance_column(column);
           } else {
@@ -224,7 +229,7 @@ void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
         }
         std::array<double*, kOut> dst{};
         for (std::size_t o = 0; o < kOut; ++o) {
-          dst[o] = &results[o]->at(i - 1, j - 1, 0);
+          dst[o] = &out[o].at(i - 1, j - 1, 0);
         }
         for (std::ptrdiff_t k = 0; k < nz; ++k) {
           const auto window = detail::make_window<kIn>(

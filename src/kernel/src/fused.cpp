@@ -18,8 +18,9 @@ KernelRunStats run_kernel_fused(const grid::WindState& state,
     throw std::invalid_argument("run_kernel_fused: halo >= 1 required");
   }
   PassStats pass;
-  pass_streaming(state, out, AdvectOp(coefficients, dims.nz), config.chunk_y,
-                 xr, &pass);
+  pass_streaming(inputs<AdvectOp::kFieldsIn>(state),
+                 outputs<AdvectOp::kFieldsOut>(out),
+                 AdvectOp(coefficients, dims.nz), config.chunk_y, xr, &pass);
   return {pass.values_streamed, pass.stencils_emitted, pass.chunks};
 }
 

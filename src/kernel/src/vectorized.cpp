@@ -16,8 +16,10 @@ VectorizedStats run_kernel_vectorized_f32(
   }
   const grid::GridDims dims = state.u.dims();
   PassStats pass;
-  pass_streaming<float>(state, out, BasicAdvectOp<float>(c, dims.nz),
-                        config.chunk_y, XRange{0, dims.nx}, &pass);
+  pass_streaming<float>(inputs<AdvectOp::kFieldsIn>(state),
+                        outputs<AdvectOp::kFieldsOut>(out),
+                        BasicAdvectOp<float>(c, dims.nz), config.chunk_y,
+                        XRange{0, dims.nx}, &pass);
 
   VectorizedStats stats;
   stats.kernel = {pass.values_streamed, pass.stencils_emitted, pass.chunks};

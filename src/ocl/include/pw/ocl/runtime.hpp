@@ -82,9 +82,13 @@ public:
   Event enqueue_write(Buffer& destination, std::span<const double> host,
                       const std::vector<Event>& wait_for = {});
 
-  /// Device -> host copy. `host` must outlive finish().
+  /// Device -> host copy. `host` must outlive finish(). The transfer moves
+  /// host.size() values; the first and last `halo` of them are modelled but
+  /// not copied, so a padded slab read back into its place in a field keeps
+  /// the host's values around it (its neighbours' results, the halos).
   Event enqueue_read(const Buffer& source, std::span<double> host,
-                     const std::vector<Event>& wait_for = {});
+                     const std::vector<Event>& wait_for = {},
+                     std::size_t halo = 0);
 
   /// Kernel launch: `body` performs the real computation against buffer
   /// device_views; `modelled_seconds` is the simulated execution time.

@@ -77,9 +77,13 @@ Event CommandQueue::enqueue_write(Buffer& destination,
 }
 
 Event CommandQueue::enqueue_read(const Buffer& source, std::span<double> host,
-                                 const std::vector<Event>& wait_for) {
+                                 const std::vector<Event>& wait_for,
+                                 std::size_t halo) {
   if (host.size() > source.count()) {
     throw std::invalid_argument("enqueue_read: request exceeds buffer");
+  }
+  if (2 * halo > host.size()) {
+    throw std::invalid_argument("enqueue_read: halo exceeds request");
   }
   const xfer::Engine engine = timing_.full_duplex
                                   ? xfer::Engine::kDeviceToHost
@@ -93,9 +97,10 @@ Event CommandQueue::enqueue_read(const Buffer& source, std::span<double> host,
                        transfer_fault_latency("ocl.enqueue_read");
   command.depends = to_indices(wait_for);
   const auto* src = &source;
-  return record(std::move(command), [src, host] {
-    std::memcpy(host.data(), src->device_view().data(),
-                host.size() * sizeof(double));
+  const std::span<double> copied = host.subspan(halo, host.size() - 2 * halo);
+  return record(std::move(command), [src, copied, halo] {
+    std::memcpy(copied.data(), src->device_view().data() + halo,
+                copied.size() * sizeof(double));
   });
 }
 

@@ -18,7 +18,9 @@ void run_reduced(const grid::WindState& state,
                  const kernel::KernelConfig& config,
                  advect::SourceTerms& out) {
   const grid::GridDims dims = state.u.dims();
-  kernel::pass_streaming<T>(state, out, kernel::BasicAdvectOp<T>(c, dims.nz),
+  kernel::pass_streaming<T>(kernel::inputs<kernel::AdvectOp::kFieldsIn>(state),
+                            kernel::outputs<kernel::AdvectOp::kFieldsOut>(out),
+                            kernel::BasicAdvectOp<T>(c, dims.nz),
                             config.chunk_y, kernel::XRange{0, dims.nx});
 }
 

@@ -20,15 +20,15 @@ namespace pw::stencil {
 
 /// Which execution strategy runs a declared kernel. api::engine_config maps
 /// every api::Backend onto one of these (the f64 `vectorized` backend runs
-/// kReference) — every engine computes the same cells with the same
-/// per-cell op, so all double-precision engines are bit-identical by
+/// kReference; `host_overlap` runs kFused as the kernel of each X-chunk the
+/// ocl::HostDriver moves) — every engine computes the same cells with the
+/// same per-cell op, so all double-precision engines are bit-identical by
 /// construction (the property the differential tests assert per kernel).
 enum class Engine {
   kReference,      ///< serial direct pass (the readable oracle path)
   kThreaded,       ///< X-partitioned direct pass on a ThreadPool
   kFused,          ///< Fig. 2/3 shift-buffer streaming machine, one instance
   kMultiInstance,  ///< N concurrent shift-buffer instances over X slabs
-  kChunkedHost,    ///< sequential X-chunked shift-buffer slabs (host driver)
 };
 
 struct EngineConfig {
@@ -36,7 +36,6 @@ struct EngineConfig {
   std::size_t chunk_y = 64;   ///< Y-chunking of the shift-buffer engines
   std::size_t threads = 0;    ///< kThreaded worker count (0 = hardware)
   std::size_t instances = 4;  ///< kMultiInstance kernel instances
-  std::size_t x_chunks = 8;   ///< kChunkedHost slab count
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -49,17 +48,19 @@ using kernel::PassStats;
 
 // ---------------------------------------------------------------------------
 // The engine dispatcher: one sweep of `op` over the grid under `config`,
-// with the spec-derived fault site and obs instrumentation every declared
-// kernel inherits. Throws fault::FaultError when the kernel's site is armed
-// with a hard fault (the api layer converts that to SolveError::kBackendFault
-// so the serve retry/failover ladder applies to stencil kernels unchanged).
-// The op's declared arity must be the spec's, so the lint graph, perf entry
-// and halo exchange derived from the spec describe what the engines stream;
-// a mismatch throws std::invalid_argument.
+// reading the op's input views and writing the interiors of its output
+// views, with the spec-derived fault site and obs instrumentation every
+// declared kernel inherits. Throws fault::FaultError when the kernel's site
+// is armed with a hard fault (the api layer converts that to
+// SolveError::kBackendFault so the serve retry/failover ladder applies to
+// stencil kernels unchanged). The op's declared arity must be the spec's, so
+// the lint graph, perf entry and halo exchange derived from the spec
+// describe what the engines stream; a mismatch throws std::invalid_argument.
 
 template <typename Op>
-PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
-                   advect::SourceTerms& out, const Op& op,
+PassStats run_pass(const StencilSpec& spec,
+                   const kernel::InViews<Op::kFieldsIn>& in,
+                   const kernel::OutViews<Op::kFieldsOut>& out, const Op& op,
                    const EngineConfig& config) {
   if (Op::kFieldsIn != spec.fields_in || Op::kFieldsOut != spec.fields_out) {
     throw std::invalid_argument("run_pass: op field arity differs from spec " +
@@ -67,7 +68,7 @@ PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
   }
   fault::throw_if(fault_site(spec));
 
-  const grid::GridDims dims = in.u.dims();
+  const grid::GridDims dims = in[0].dims;
   const kernel::XRange full{0, dims.nx};
   PassStats stats;
 
@@ -110,14 +111,6 @@ PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
     case Engine::kFused:
       kernel::pass_streaming(in, out, op, config.chunk_y, full, &stats);
       break;
-    case Engine::kChunkedHost: {
-      const auto ranges = kernel::partition_x(
-          dims.nx, config.x_chunks == 0 ? 1 : config.x_chunks);
-      for (const kernel::XRange& slab : ranges) {
-        kernel::pass_streaming(in, out, op, config.chunk_y, slab, &stats);
-      }
-      break;
-    }
   }
 
   if (config.metrics != nullptr) {
@@ -134,6 +127,16 @@ PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
     }
   }
   return stats;
+}
+
+/// The same sweep over whole fields: the op reads the first kFieldsIn of
+/// (u, v, w) and writes the first kFieldsOut of (su, sv, sw).
+template <typename Op>
+PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
+                   advect::SourceTerms& out, const Op& op,
+                   const EngineConfig& config) {
+  return run_pass(spec, kernel::inputs<Op::kFieldsIn>(in),
+                  kernel::outputs<Op::kFieldsOut>(out), op, config);
 }
 
 }  // namespace pw::stencil

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstddef>
+#include <functional>
 
 #include "pw/advect/reference.hpp"
 #include "pw/grid/init.hpp"
@@ -66,11 +67,25 @@ struct PoissonOp {
 void poisson_reference(const grid::WindState& state,
                        const PoissonParams& params, advect::SourceTerms& out);
 
-/// `iterations` Jacobi sweeps on the stencil machine under `config`; each
-/// sweep is one machine pass (with its own fault-site check) from one
-/// ping-pong guess field into the other. Passes write interiors only, so
-/// both keep the Dirichlet-zero halos the boundary rule asks for. sv and sw
-/// are zeroed once at the end. All engines are bit-identical to
+/// One Jacobi sweep: reads the guess and the right-hand side (in that
+/// order) and writes the next guess's interior.
+using PoissonSweep = std::function<PassStats(const kernel::InViews<2>&,
+                                             const kernel::OutViews<1>&)>;
+
+/// `iterations` Jacobi sweeps, each one call of `sweep` from one ping-pong
+/// guess field into the other, the last into out.su. The guesses are
+/// out.sv and out.sw, so a solve allocates no scratch: both are zeroed
+/// first, which gives them the Dirichlet-zero halos the boundary rule asks
+/// for (a sweep writes interiors only), and zeroed again at the end. The
+/// right-hand side is read in place from state.v (PoissonOp reads only its
+/// centre). This is the one sweep loop: the machine engines and the host
+/// driver (one host round per sweep) both run it.
+PassStats run_poisson(const grid::WindState& state,
+                      const PoissonParams& params, advect::SourceTerms& out,
+                      const PoissonSweep& sweep);
+
+/// The sweep loop with each sweep one machine pass (with its own fault-site
+/// check) under `config`. All engines are bit-identical to
 /// poisson_reference.
 PassStats run_poisson(const grid::WindState& state,
                       const PoissonParams& params, advect::SourceTerms& out,

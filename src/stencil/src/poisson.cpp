@@ -40,19 +40,6 @@ void copy_interior(const grid::FieldD& src, grid::FieldD& dst) {
   }
 }
 
-void zero_interior(grid::FieldD& field) {
-  const grid::GridDims dims = field.dims();
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(dims.nx); ++i) {
-    for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(dims.ny);
-         ++j) {
-      for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(dims.nz);
-           ++k) {
-        field.at(i, j, k) = 0.0;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void poisson_reference(const grid::WindState& state,
@@ -86,8 +73,8 @@ void poisson_reference(const grid::WindState& state,
     std::swap(guess, next);
   }
   copy_interior(guess, out.su);
-  zero_interior(out.sv);
-  zero_interior(out.sw);
+  out.sv.fill(0.0);
+  out.sw.fill(0.0);
 }
 
 PassStats run_poisson_sweep(const grid::WindState& state,
@@ -99,26 +86,35 @@ PassStats run_poisson_sweep(const grid::WindState& state,
 
 PassStats run_poisson(const grid::WindState& state,
                       const PoissonParams& params, advect::SourceTerms& out,
-                      const EngineConfig& config) {
-  const grid::GridDims dims = state.u.dims();
-  // work.u carries the evolving guess, work.v the right-hand side; each
-  // sweep writes the next guess into next.su and the two swap. Both keep
-  // the zero halos they were constructed with: passes write interiors only.
-  grid::WindState work(dims);
-  copy_interior(state.u, work.u);
-  copy_interior(state.v, work.v);
+                      const PoissonSweep& sweep) {
+  grid::FieldD* guess = &out.sv;
+  grid::FieldD* next = &out.sw;
+  guess->fill(0.0);
+  next->fill(0.0);
+  copy_interior(state.u, *guess);
 
-  advect::SourceTerms next(dims);
   PassStats total;
   const std::size_t iterations = std::max<std::size_t>(1, params.iterations);
-  for (std::size_t sweep = 0; sweep < iterations; ++sweep) {
-    total += run_pass(poisson_spec(), work, next, PoissonOp(params), config);
-    std::swap(work.u, next.su);
+  for (std::size_t s = 0; s < iterations; ++s) {
+    grid::FieldD& target = s + 1 == iterations ? out.su : *next;
+    total += sweep({std::as_const(*guess).view(), state.v.view()},
+                   {target.view()});
+    std::swap(guess, next);
   }
-  copy_interior(work.u, out.su);
-  zero_interior(out.sv);
-  zero_interior(out.sw);
+  out.sv.fill(0.0);
+  out.sw.fill(0.0);
   return total;
+}
+
+PassStats run_poisson(const grid::WindState& state,
+                      const PoissonParams& params, advect::SourceTerms& out,
+                      const EngineConfig& config) {
+  const PoissonOp op(params);
+  return run_poisson(state, params, out,
+                     [&](const kernel::InViews<2>& in,
+                         const kernel::OutViews<1>& next) {
+                       return run_pass(poisson_spec(), in, next, op, config);
+                     });
 }
 
 }  // namespace pw::stencil

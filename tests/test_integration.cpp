@@ -19,6 +19,7 @@
 #include "pw/exp/devices.hpp"
 #include "pw/fpga/resource_estimate.hpp"
 #include "pw/ocl/host_driver.hpp"
+#include "pw/stencil/advect.hpp"
 #include "pw/shard/sharded_solver.hpp"
 #include "pw/util/thread_pool.hpp"
 
@@ -59,12 +60,16 @@ TEST(Integration, HostDriverOnSixteenRanksWorthOfChunks) {
   auto reference = std::make_unique<advect::SourceTerms>(dims);
   advect::advect_reference(*state, coefficients, *reference);
 
-  ocl::HostDriverConfig config;
+  ocl::HostOptions config;
   config.x_chunks = 16;
-  config.kernel.chunk_y = 16;
+  const stencil::EngineConfig engine{.engine = stencil::Engine::kFused,
+                                     .chunk_y = 16};
   advect::SourceTerms out(dims);
-  const auto result =
-      ocl::advect_via_host(*state, coefficients, out, config);
+  const auto result = ocl::HostDriver(config, engine)
+                          .run(stencil::advect_spec(),
+                               kernel::inputs<3>(*state),
+                               kernel::outputs<3>(out),
+                               stencil::AdvectOp(coefficients, dims.nz));
   EXPECT_EQ(result.chunks, 16u);
   EXPECT_TRUE(grid::compare_interior(reference->su, out.su).bit_equal());
 }

@@ -8,6 +8,8 @@
 #include "pw/grid/compare.hpp"
 #include "pw/ocl/host_driver.hpp"
 #include "pw/ocl/runtime.hpp"
+#include "pw/stencil/advect.hpp"
+#include "pw/stencil/poisson.hpp"
 
 namespace pw::ocl {
 namespace {
@@ -132,16 +134,27 @@ struct DriverHarness {
     reference = std::make_unique<advect::SourceTerms>(dims);
     advect::advect_reference(*state, coefficients, *reference);
   }
+
+  /// One advection round through the host driver, each chunk's kernel the
+  /// fused machine pass.
+  HostDriverResult advect(advect::SourceTerms& out, const HostOptions& options,
+                          std::size_t chunk_y = 64) const {
+    const stencil::EngineConfig engine{.engine = stencil::Engine::kFused,
+                                       .chunk_y = chunk_y};
+    return HostDriver(options, engine)
+        .run(stencil::advect_spec(), kernel::inputs<3>(*state),
+             kernel::outputs<3>(out),
+             stencil::AdvectOp(coefficients, dims.nz));
+  }
 };
 
 TEST(HostDriver, OverlappedBitExactWithReference) {
   DriverHarness h({12, 8, 8});
   advect::SourceTerms out({12, 8, 8});
-  HostDriverConfig config;
+  HostOptions config;
   config.x_chunks = 4;
   config.timing = fast_timing();
-  config.kernel.chunk_y = 4;
-  const auto result = advect_via_host(*h.state, h.coefficients, out, config);
+  const auto result = h.advect(out, config, 4);
   EXPECT_EQ(result.chunks, 4u);
   EXPECT_TRUE(grid::compare_interior(h.reference->su, out.su).bit_equal());
   EXPECT_TRUE(grid::compare_interior(h.reference->sv, out.sv).bit_equal());
@@ -151,17 +164,17 @@ TEST(HostDriver, OverlappedBitExactWithReference) {
 TEST(HostDriver, SequentialBitExactWithReference) {
   DriverHarness h({10, 6, 6});
   advect::SourceTerms out({10, 6, 6});
-  HostDriverConfig config;
+  HostOptions config;
   config.overlapped = false;
   config.timing = fast_timing();
-  const auto result = advect_via_host(*h.state, h.coefficients, out, config);
+  const auto result = h.advect(out, config);
   EXPECT_EQ(result.chunks, 1u);
   EXPECT_TRUE(grid::compare_interior(h.reference->su, out.su).bit_equal());
 }
 
 TEST(HostDriver, OverlapHidesTransfers) {
   DriverHarness h({16, 8, 8});
-  HostDriverConfig config;
+  HostOptions config;
   config.timing = fast_timing();
   config.timing.h2d_gbps = 0.001;  // slow link so transfers dominate
   config.timing.d2h_gbps = 0.001;
@@ -171,13 +184,11 @@ TEST(HostDriver, OverlapHidesTransfers) {
 
   advect::SourceTerms out1({16, 8, 8});
   config.overlapped = false;
-  const auto sequential = advect_via_host(*h.state, h.coefficients, out1,
-                                          config);
+  const auto sequential = h.advect(out1, config);
   advect::SourceTerms out2({16, 8, 8});
   config.overlapped = true;
   config.x_chunks = 8;
-  const auto overlapped = advect_via_host(*h.state, h.coefficients, out2,
-                                          config);
+  const auto overlapped = h.advect(out2, config);
   EXPECT_LT(overlapped.seconds, sequential.seconds);
   EXPECT_TRUE(grid::compare_interior(out1.su, out2.su).bit_equal());
 }
@@ -185,10 +196,10 @@ TEST(HostDriver, OverlapHidesTransfers) {
 TEST(HostDriver, TransferAccountingCountsHaloOverlap) {
   DriverHarness h({8, 4, 4});
   advect::SourceTerms out({8, 4, 4});
-  HostDriverConfig config;
+  HostOptions config;
   config.x_chunks = 4;
   config.timing = fast_timing();
-  const auto result = advect_via_host(*h.state, h.coefficients, out, config);
+  const auto result = h.advect(out, config);
   // 4 chunks x 3 fields x (2+2 planes) x (6x6 padded face) x 8 bytes.
   EXPECT_EQ(result.bytes_written, 4u * 3 * 4 * 36 * 8);
   EXPECT_EQ(result.bytes_read, result.bytes_written);
@@ -197,13 +208,13 @@ TEST(HostDriver, TransferAccountingCountsHaloOverlap) {
 TEST(HostDriver, KernelTimeModelDrivesTimeline) {
   DriverHarness h({8, 4, 4});
   advect::SourceTerms out({8, 4, 4});
-  HostDriverConfig config;
+  HostOptions config;
   config.x_chunks = 2;
   config.timing = fast_timing();
   config.kernel_time_model = [](const grid::GridDims& d) {
     return static_cast<double>(d.cells()) * 1e-6;
   };
-  const auto result = advect_via_host(*h.state, h.coefficients, out, config);
+  const auto result = h.advect(out, config);
   // Two chunks of 4x4x4 cells at 1 us/cell = 2 x 64 us of kernel time.
   const double kernel_busy =
       result.timeline.engine_busy_s[static_cast<std::size_t>(
@@ -211,6 +222,33 @@ TEST(HostDriver, KernelTimeModelDrivesTimeline) {
   EXPECT_NEAR(kernel_busy, 128e-6, 1e-9);
 }
 
+TEST(HostDriver, TransfersFollowTheOpArity) {
+  // A Poisson round moves the guess and the right-hand side in and the
+  // next guess out: 2 padded slabs written and 1 read per chunk, against
+  // advection's 3 and 3, into a device buffer set of that shape.
+  const grid::GridDims dims{8, 4, 4};
+  grid::WindState state(dims);
+  grid::init_random(state, 5);
+  advect::SourceTerms out(dims);
+  HostOptions config;
+  config.x_chunks = 4;
+  config.timing = fast_timing();
+  const stencil::EngineConfig engine{.engine = stencil::Engine::kFused};
+  const stencil::PoissonParams params;
+  const auto result =
+      HostDriver(config, engine)
+          .run(stencil::poisson_spec(), kernel::inputs<2>(state),
+               kernel::outputs<1>(out), stencil::PoissonOp(params));
+  // Per chunk: (2+2 planes) x (6x6 padded face) x 8 bytes per slab.
+  const std::size_t slab_bytes = 4u * 36 * 8;
+  EXPECT_EQ(result.bytes_written, 4u * 2 * slab_bytes);
+  EXPECT_EQ(result.bytes_read, 4u * 1 * slab_bytes);
+
+  advect::SourceTerms reference(dims);
+  stencil::run_pass(stencil::poisson_spec(), state, reference,
+                    stencil::PoissonOp(params), stencil::EngineConfig{});
+  EXPECT_TRUE(grid::compare_interior(reference.su, out.su).bit_equal());
+}
 
 TEST(CommandQueue, BarrierSerialisesAgainstHistory) {
   CommandQueue queue(fast_timing());

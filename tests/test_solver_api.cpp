@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "pw/advect/coefficients.hpp"
 #include "pw/advect/flops.hpp"
@@ -14,6 +16,8 @@
 #include "pw/api/solver.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/grid/init.hpp"
+#include "pw/serve/service.hpp"
+#include "pw/stencil/spec.hpp"
 
 namespace {
 
@@ -32,7 +36,8 @@ struct Fixture {
 };
 
 api::SolveResult run(const Fixture& f, api::Backend backend,
-                     obs::MetricsRegistry* metrics = nullptr) {
+                     obs::MetricsRegistry* metrics = nullptr,
+                     api::Kernel kernel = api::Kernel::kAdvectPw) {
   api::SolverOptions options;
   if (backend == api::Backend::kHostOverlap) {
     api::HostOptions host;
@@ -41,6 +46,7 @@ api::SolveResult run(const Fixture& f, api::Backend backend,
   } else {
     options.backend = backend;  // per-backend default knobs
   }
+  options.kernel_spec = kernel;
   options.kernel.chunk_y = 8;
   options.metrics = metrics;
   return api::Solver(options).solve(f.state, f.coefficients);
@@ -105,20 +111,37 @@ TEST(SolverApi, KernelBackendsReportKernelCounters) {
 }
 
 TEST(SolverApi, HostOverlapReportsChunkSpansAndBytes) {
+  // Every kernel's host_overlap is the Fig. 6 driver: Poisson runs one host
+  // round per sweep, moving its two input fields and one output field.
   const Fixture f;
-  const auto result = run(f, api::Backend::kHostOverlap);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result.metrics.counters.at("host.bytes_written"), 0u);
-  EXPECT_GT(result.metrics.counters.at("host.bytes_read"), 0u);
-  EXPECT_EQ(result.metrics.counters.at("host.chunks"), 4u);
-  bool saw_modelled_chunk_span = false;
-  for (const auto& span : result.metrics.spans) {
-    if (span.modelled && span.path.find("host/chunk/") != std::string::npos) {
-      saw_modelled_chunk_span = true;
-      EXPECT_GE(span.duration_s, 0.0);
+  for (const api::Kernel kernel : api::kAllKernels) {
+    SCOPED_TRACE(api::to_string(kernel));
+    const stencil::StencilSpec& spec =
+        *stencil::find_stencil(api::to_string(kernel));
+    const std::uint64_t rounds =
+        kernel == api::Kernel::kPoissonJacobi
+            ? api::PoissonOptions{}.iterations
+            : 1;
+    const auto result = run(f, api::Backend::kHostOverlap, nullptr, kernel);
+    ASSERT_TRUE(result.ok());
+    const std::uint64_t written =
+        result.metrics.counters.at("host.bytes_written");
+    const std::uint64_t read = result.metrics.counters.at("host.bytes_read");
+    EXPECT_GT(written, 0u);
+    EXPECT_GT(read, 0u);
+    EXPECT_EQ(written * spec.fields_out, read * spec.fields_in);
+    EXPECT_EQ(result.metrics.counters.at("host.chunks"), 4u * rounds);
+    EXPECT_GT(result.metrics.gauges.at("host.makespan_s"), 0.0);
+    bool saw_modelled_chunk_span = false;
+    for (const auto& span : result.metrics.spans) {
+      if (span.modelled &&
+          span.path.find("host/chunk/") != std::string::npos) {
+        saw_modelled_chunk_span = true;
+        EXPECT_GE(span.duration_s, 0.0);
+      }
     }
+    EXPECT_TRUE(saw_modelled_chunk_span);
   }
-  EXPECT_TRUE(saw_modelled_chunk_span);
 }
 
 TEST(SolverApi, CallerSuppliedRegistryAccumulatesAcrossSolves) {
@@ -223,6 +246,50 @@ TEST(SolverApi, SubmitWithCoefficientMismatchCompletesTyped) {
             coefficients_with_levels(f.dims, levels))));
     ASSERT_TRUE(future.wait_for(std::chrono::seconds(10)));
     EXPECT_EQ(future.result().error, api::SolveError::kCoefficientMismatch);
+  }
+}
+
+TEST(SolverApi, EngineExceptionIsATypedError) {
+  // A host_overlap kernel time model is the caller's callback, run inside
+  // the engine: what it throws must come back as kInternal from every entry
+  // point, never escape a solve, abort a submit thread or strand a future.
+  const Fixture f;
+  for (const api::Kernel kernel : api::kAllKernels) {
+    SCOPED_TRACE(api::to_string(kernel));
+    api::HostOptions host;
+    host.x_chunks = 2;
+    host.kernel_time_model = [](const grid::GridDims&) -> double {
+      throw std::runtime_error("kernel time model failed");
+    };
+    api::SolverOptions options;
+    options.backend = host;
+    options.kernel_spec = kernel;
+    const api::SolveRequest request = api::make_request(
+        std::make_shared<const grid::WindState>(f.state),
+        std::make_shared<const advect::PwCoefficients>(f.coefficients),
+        options);
+    const auto expect_internal = [](const api::SolveResult& result) {
+      EXPECT_EQ(result.error, api::SolveError::kInternal);
+      EXPECT_NE(result.message.find("kernel time model failed"),
+                std::string::npos)
+          << result.message;
+      EXPECT_EQ(result.terms, nullptr);
+    };
+
+    api::SolveResult direct;
+    EXPECT_NO_THROW(direct = api::Solver(options).solve(request));
+    expect_internal(direct);
+
+    const api::SolveFuture submitted = api::Solver(options).submit(request);
+    ASSERT_TRUE(submitted.wait_for(std::chrono::seconds(10)));
+    expect_internal(submitted.result());
+
+    serve::SolveService service;
+    const api::SolveFuture served = service.submit(request);
+    ASSERT_TRUE(served.wait_for(std::chrono::seconds(10)));
+    expect_internal(served.result());
+    EXPECT_EQ(served.result().attempts, 1u);
+    EXPECT_FALSE(served.result().degraded);
   }
 }
 

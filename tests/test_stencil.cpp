@@ -90,10 +90,9 @@ void expect_bit_equal(const advect::SourceTerms& reference,
   EXPECT_TRUE(dw.bit_equal()) << label << ": sw mismatches=" << dw.mismatches;
 }
 
-constexpr std::array<stencil::Engine, 5> kAllEngines = {
-    stencil::Engine::kReference,     stencil::Engine::kThreaded,
-    stencil::Engine::kFused,         stencil::Engine::kMultiInstance,
-    stencil::Engine::kChunkedHost};
+constexpr std::array<stencil::Engine, 4> kAllEngines = {
+    stencil::Engine::kReference, stencil::Engine::kThreaded,
+    stencil::Engine::kFused, stencil::Engine::kMultiInstance};
 
 advect::PwCoefficients coefficients_for(const grid::GridDims& dims) {
   return advect::PwCoefficients::from_geometry(
@@ -274,8 +273,9 @@ TEST(StencilSpecDerivation, OpArityIsTheSpecArity) {
 
 TEST(StencilFuzz, DegenerateShapesBitExactOnEveryEngine) {
   // Seeded draws of tiny and degenerate grids (any side 1..10), Y-chunk
-  // widths 0..ny+3 and instance / slab counts up to nx+2: every registry
-  // kernel on every engine must bit-match its scalar reference.
+  // widths 0..ny+3 and instance / host X-chunk counts up to nx+2: every
+  // registry kernel on every engine, and through api::Solver's host driver
+  // with and without overlap, must bit-match its scalar reference.
   util::Rng rng(16);
   for (int draw = 0; draw < 32; ++draw) {
     const grid::GridDims dims{1 + rng.next_below(10), 1 + rng.next_below(10),
@@ -284,14 +284,15 @@ TEST(StencilFuzz, DegenerateShapesBitExactOnEveryEngine) {
     stencil::EngineConfig config;
     config.chunk_y = rng.next_below(dims.ny + 4);
     config.instances = 1 + rng.next_below(dims.nx + 2);
-    config.x_chunks = 1 + rng.next_below(dims.nx + 2);
+    api::HostOptions host;
+    host.x_chunks = 1 + rng.next_below(dims.nx + 2);
     stencil::PoissonParams poisson;
     poisson.iterations = 1 + rng.next_below(3);
     SCOPED_TRACE(::testing::Message()
                  << "draw=" << draw << " dims=" << dims.nx << "x" << dims.ny
                  << "x" << dims.nz << " chunk_y=" << config.chunk_y
                  << " instances=" << config.instances
-                 << " x_chunks=" << config.x_chunks
+                 << " x_chunks=" << host.x_chunks
                  << " iterations=" << poisson.iterations << " seed=" << seed);
 
     grid::WindState state(dims);
@@ -312,6 +313,28 @@ TEST(StencilFuzz, DegenerateShapesBitExactOnEveryEngine) {
         expect_bit_equal(reference, out,
                          spec.name + " engine " +
                              std::to_string(static_cast<int>(engine)));
+      }
+      for (const bool overlapped : {false, true}) {
+        host.overlapped = overlapped;
+        api::SolverOptions options;
+        options.backend = host;
+        options.kernel.chunk_y = config.chunk_y;
+        if (spec.name == "poisson_jacobi") {
+          options.kernel_spec = poisson;
+        } else {
+          options.kernel_spec = *api::parse_kernel(spec.name);
+        }
+        const api::SolveResult result = api::Solver(options).solve(
+            api::borrow_request(state, coefficients, options));
+        const std::string label =
+            spec.name + (overlapped ? " host overlapped" : " host sequential");
+        if (overlapped && config.chunk_y == 0) {
+          // X-chunk slabs need bounded shift-buffer faces.
+          EXPECT_EQ(result.error, api::SolveError::kInvalidChunking) << label;
+          continue;
+        }
+        ASSERT_TRUE(result.ok()) << label << ": " << result.message;
+        expect_bit_equal(reference, *result.terms, label);
       }
     }
   }
