@@ -48,13 +48,18 @@
 #                              Skipped with PW_CI_SKIP_SANITIZERS=1 for
 #                              quick local iterations.
 #   4b. ubsan: streams + fault UBSan-only build (build-ubsan/) + ctest -L
-#        + stencil + check     streams/fault/stencil/check — unlike 4, no ASan
-#                              shadow memory, so the lock-free fast paths
-#                              run at near-production interleaving density
-#                              while UBSan watches for the UB (misaligned
-#                              loads, overflow) that memory-ordering bugs
-#                              tend to surface as. Also skipped with
-#                              PW_CI_SKIP_SANITIZERS=1.
+#        + stencil + check     streams/fault/stencil/check/shard — unlike 4,
+#        + shard               no ASan shadow memory, so the lock-free fast
+#                              paths run at near-production interleaving
+#                              density while UBSan watches for the UB
+#                              (misaligned loads, overflow) that
+#                              memory-ordering bugs tend to surface as. The
+#                              shard label adds the sharded solver's halo
+#                              pull lists (element offsets, negative on the
+#                              west and south faces, applied concurrently by
+#                              every worker) and the decomposition, fuzz and
+#                              integration suites that shard. Also skipped
+#                              with PW_CI_SKIP_SANITIZERS=1.
 #   5. tsan: serve + fault     TSan build (build-tsan/) + ctest -R '^Serve',
 #        + streams + stencil   ctest -L fault, -L streams, -L stencil,
 #        + shard + qos         -L shard and -L qos — the serving layer is the repo's
@@ -140,14 +145,14 @@ ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L qos
 
-echo "==== ci: UBSan-only build + streams + fault battery + checker ===="
+echo "==== ci: UBSan-only build + streams + fault battery + checker + shard ===="
 cmake -B build-ubsan -S . -DPW_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ubsan -j "$JOBS" --target \
   test_stream_fabric test_fault test_fault_chaos \
   test_backend_differential test_stencil test_check \
   test_shift_buffer test_kernel_equivalence test_precision test_vectorized \
-  test_ocl
+  test_ocl test_shard test_decomp test_fuzz_more test_integration
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L streams
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
@@ -156,6 +161,8 @@ UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L stencil
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L check
+UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
+  ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L shard
 
 echo "==== ci: TSan build + serve suites + fault battery + ring stress ===="
 cmake -B build-tsan -S . -DPW_SANITIZE=thread \

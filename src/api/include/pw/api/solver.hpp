@@ -76,7 +76,6 @@ enum class SolveError {
   kNone,
   kEmptyGrid,          ///< nx, ny or nz is zero (or a request carries none)
   kHaloMismatch,       ///< fields must carry a halo of exactly 1
-  kInvalidChunking,    ///< chunk_y == 0 with an overlapped host driver
   kNoKernelInstances,  ///< kMultiKernel with kernels == 0
   kNoLanes,            ///< kVectorized with lanes == 0
   kNoChunks,           ///< kHostOverlap overlapped with x_chunks == 0
@@ -98,11 +97,10 @@ enum class SolveError {
 std::string describe(SolveError error);
 
 /// Every SolveError enumerator, for exhaustive iteration in tests.
-inline constexpr std::array<SolveError, 18> kAllSolveErrors = {
+inline constexpr std::array<SolveError, 17> kAllSolveErrors = {
     SolveError::kNone,
     SolveError::kEmptyGrid,
     SolveError::kHaloMismatch,
-    SolveError::kInvalidChunking,
     SolveError::kNoKernelInstances,
     SolveError::kNoLanes,
     SolveError::kNoChunks,

@@ -74,10 +74,6 @@ std::string describe(SolveError error) {
       return "grid has a zero-sized dimension";
     case SolveError::kHaloMismatch:
       return "wind fields must carry a halo of exactly 1";
-    case SolveError::kInvalidChunking:
-      return "chunk_y == 0 (unchunked) cannot be combined with an "
-             "overlapped host driver: X-chunk slabs require bounded "
-             "shift-buffer faces";
     case SolveError::kNoKernelInstances:
       return "multi-kernel backend needs at least one kernel instance";
     case SolveError::kNoLanes:
@@ -188,9 +184,6 @@ SolveError validate(const SolverOptions& options) {
   if (const auto* host = options.backend.get_if<HostOptions>()) {
     if (host->overlapped && host->x_chunks == 0) {
       return SolveError::kNoChunks;
-    }
-    if (host->overlapped && options.kernel.chunk_y == 0) {
-      return SolveError::kInvalidChunking;
     }
   }
   // Per-kernel knob validation: only the active kernel's rules apply (the

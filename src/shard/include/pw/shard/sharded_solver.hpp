@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,6 +37,12 @@ struct ShardOptions {
 
   /// External metrics sink; the solver uses a private registry when null.
   obs::MetricsRegistry* metrics = nullptr;
+
+  /// Test hook: called with the device id on a shard's worker before each
+  /// of its passes, concurrently across shards. What it throws is handled
+  /// as the pass's own exception, so tests reach the typed-error paths
+  /// with it.
+  std::function<void(std::size_t device)> before_pass;
 };
 
 /// What one sharded solve actually did — the measured quantities the
@@ -50,10 +57,12 @@ struct ShardRunReport {
   std::uint64_t halo_bytes = 0;        ///< cross-device bytes, all exchanges
   std::uint64_t halo_messages = 0;     ///< cross-device messages
   double exchange_model_s = 0.0;       ///< modelled wire time, all exchanges
-  double exchange_wall_s = 0.0;        ///< measured host copy time
+  /// Measured halo copy time: per sweep the slowest worker's pull (the
+  /// workers pull concurrently), summed over sweeps.
+  double exchange_wall_s = 0.0;
   /// Per-shard compute: thread CPU seconds of each shard's sweep passes on
-  /// its worker, scatter and gather excluded (index = position in the final
-  /// partition, not device id).
+  /// its worker, scatter and halo pulls excluded (index = position in the
+  /// final partition, not device id).
   std::vector<double> shard_cpu_s;
   std::vector<std::size_t> shard_device;  ///< device id per partition slot
   double max_shard_cpu_s = 0.0;  ///< slowest shard (compute critical path)
@@ -76,20 +85,30 @@ struct ShardRunReport {
 ///
 /// The partition is resident, as a board keeps its fields in device memory
 /// between kernel calls: the decomposition, the linted halo plan, each
-/// shard's field buffers and one worker thread per shard are built once per
-/// (grid dims, alive devices) — counted by the `shard.partitions_built`
-/// counter — and reused by every later solve of that shape. A solve only
-/// scatters interiors, exchanges halos (every halo cell rewritten, the
-/// Dirichlet zeros included), runs the passes and gathers into its fresh
-/// result; each shard's scatter, passes and gather run on its own worker,
-/// the exchange on the calling thread between them. A device death or a
-/// new grid shape drops the partition and builds the next one.
+/// shard's field buffers and halo pull list, and one worker thread per
+/// shard are built once per (grid dims, alive devices) — counted by the
+/// `shard.partitions_built` counter — and reused by every later solve of
+/// that shape. A device death or a new grid shape drops the partition and
+/// builds the next one.
+///
+/// A solve is one hand-off to the workers (counter `shard.handoffs`); the
+/// calling thread then only waits. Each worker scatters its shard's
+/// interior, then per sweep waits at a barrier, pulls its own halo columns
+/// from its neighbours' interiors (every halo cell rewritten, the
+/// Dirichlet zeros included) and runs its pass; the last pass writes the
+/// shard's extent of the result in place, and the hand-off's completion
+/// closes the last sweep. The result buffer is recycled: a solver keeps
+/// one spare, to which a result's buffer returns when its last reference
+/// drops (a result may outlive its solver).
 ///
 /// Fault sites, consulted per shard: `shard.<device>.pass` before each
-/// shard's sweep pass and `shard.<device>.exchange` before copying halos
-/// into that device. Device ids are persistent across re-partitions, so a
-/// permanent rule keeps killing the same simulated device while survivors
-/// keep their identity (and their fault history).
+/// shard's sweep pass and `shard.<device>.exchange` before each sweep's
+/// halo pulls, all exchange sites in device order on one thread. Device
+/// ids are persistent across re-partitions, so a permanent rule keeps
+/// killing the same simulated device while survivors keep their identity
+/// (and their fault history). Only a fault::FaultError kills a device:
+/// anything else a pass throws, or a failed partition build, returns
+/// kInternal (counter `shard.internal_error`) and re-partitions nothing.
 class ShardedSolver {
  public:
   explicit ShardedSolver(ShardOptions options = {});
@@ -101,7 +120,7 @@ class ShardedSolver {
   const ShardOptions& options() const noexcept { return options_; }
   ShardOptions& options() noexcept { return options_; }
 
-  /// Blocking sharded solve. Never throws on a malformed request: it returns
+  /// Blocking sharded solve. Never throws: a malformed request gets
   /// api::check_request's typed rejection, like the single-device facade,
   /// before any device runs, so a bad request kills no device. Not
   /// thread-safe: one solve at a time (the whole simulated device set
@@ -119,6 +138,7 @@ class ShardedSolver {
 
  private:
   class ResidentPartition;
+  class ResultFreeList;
 
   api::SolveResult run_partition(const api::SolveRequest& request,
                                  const std::vector<std::size_t>& devices,
@@ -129,6 +149,7 @@ class ShardedSolver {
   obs::MetricsRegistry* metrics_;
   std::vector<bool> dead_;  ///< indexed by device id
   ShardRunReport report_;
+  std::shared_ptr<ResultFreeList> results_;  ///< shared with result deleters
   std::unique_ptr<ResidentPartition> partition_;  ///< null until a solve
 };
 

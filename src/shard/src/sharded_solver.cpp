@@ -25,24 +25,41 @@ namespace {
 
 constexpr std::size_t kNoDevice = std::numeric_limits<std::size_t>::max();
 
+/// One halo column a shard fills before each of its passes, taken from the
+/// HaloPlan message that covers it. Offsets count elements from a field's
+/// interior cell (0, 0, 0), which every field of a shard shares: `halo` is
+/// negative on the west and south faces. `column` is the interior column
+/// of shard `src` that backs the halo under the periodic rule; `edge` marks
+/// a column outside the global grid, which the Dirichlet rule fills with
+/// 0.0 instead.
+struct HaloPull {
+  std::ptrdiff_t halo = 0;
+  std::size_t src = 0;  ///< partition slot of the owning shard
+  std::ptrdiff_t column = 0;
+  bool edge = false;
+};
+
 /// One simulated device's slice of the grid, resident across solves like
-/// data in a board's memory: its field buffers, plus the fault-site and
-/// metric names it reports under, built once.
+/// data in a board's memory: its field buffers, its halo pull list, plus
+/// the fault-site and metric names it reports under, built once. A pass
+/// writes its output straight into the result's extent, so the only
+/// output buffer a shard keeps is Poisson's next guess.
 struct Shard {
   std::size_t device = 0;
   decomp::RankExtent extent;
   grid::WindState state;
-  advect::SourceTerms out;
-  std::string exchange_site;  ///< shard.<device>.exchange
-  std::string pass_site;      ///< shard.<device>.pass
-  std::string passes_metric;  ///< shard.<device>.passes
-  std::string cpu_metric;     ///< shard.<device>.cpu_s
+  grid::FieldD next;            ///< Poisson's ping-pong partner of state.u
+  std::vector<HaloPull> pulls;  ///< every x/y halo column, once
+  std::string exchange_site;    ///< shard.<device>.exchange
+  std::string pass_site;        ///< shard.<device>.pass
+  std::string passes_metric;    ///< shard.<device>.passes
+  std::string cpu_metric;       ///< shard.<device>.cpu_s
 
   Shard(std::size_t device_id, const decomp::RankExtent& e, std::size_t nz)
       : device(device_id),
         extent(e),
         state({e.nx(), e.ny(), nz}),
-        out({e.nx(), e.ny(), nz}) {
+        next({e.nx(), e.ny(), nz}) {
     const std::string prefix = "shard." + std::to_string(device);
     exchange_site = prefix + ".exchange";
     pass_site = prefix + ".pass";
@@ -65,16 +82,27 @@ void scatter_columns(const grid::FieldD& whole, const decomp::RankExtent& e,
   }
 }
 
-/// The inverse of scatter_columns: a shard's interior back into extent `e`
-/// of the whole-grid field.
-void gather_columns(const grid::FieldD& part, const decomp::RankExtent& e,
-                    grid::FieldD& whole) {
+/// Extent `e` of a whole-grid field as a view of its own: the shard that
+/// owns `e` runs its pass over this view, so its output lands in place.
+/// A pass writes interior cells only, so it never touches a neighbouring
+/// extent through the view's halo.
+grid::FieldView<double> extent_view(grid::FieldD& whole,
+                                    const decomp::RankExtent& e) {
+  grid::FieldView<double> view = whole.view();
+  view.origin += static_cast<std::ptrdiff_t>(e.x_begin) * view.stride_i +
+                 static_cast<std::ptrdiff_t>(e.y_begin) * view.stride_j;
+  view.dims = {e.nx(), e.ny(), view.dims.nz};
+  return view;
+}
+
+/// Zeroes the interior of extent `e` of the whole-grid field.
+void zero_columns(const decomp::RankExtent& e, grid::FieldD& whole) {
   const auto x0 = static_cast<std::ptrdiff_t>(e.x_begin);
   const auto y0 = static_cast<std::ptrdiff_t>(e.y_begin);
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(e.nx()); ++i) {
     for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(e.ny());
          ++j) {
-      std::copy_n(&part.at(i, j, 0), whole.nz(), &whole.at(x0 + i, y0 + j, 0));
+      std::fill_n(&whole.at(x0 + i, y0 + j, 0), whole.nz(), 0.0);
     }
   }
 }
@@ -117,56 +145,144 @@ void piece_cells_local(decomp::HaloPiece piece, std::size_t nx,
   }
 }
 
-/// One bulk-synchronous halo exchange over `plan`: for every message, copy
-/// the owning shard's interior columns into the receiving shard's halo.
-/// Every x/y halo cell is written: the neighbour's data, under the periodic
-/// rule the wrap at global edges (matching exchange_halo_periodic_xy on the
-/// whole grid), under the Dirichlet rule 0.0 at global edges. Resident
-/// buffers still hold the previous solve's halos, so no cell may be
-/// skipped. z halos are never written: passes write interiors only, so
-/// they keep the zero the buffers were built with. `fields` selects which
-/// of u/v/w move — the kernel's written fields, derived from its spec.
-void exchange_halos(const grid::GridDims& global, const decomp::HaloPlan& plan,
-                    std::vector<Shard>& shards,
-                    const std::vector<grid::FieldD grid::WindState::*>& fields,
-                    bool periodic) {
+/// Builds every shard's pull list from `plan`: for each message, the halo
+/// columns of the receiving shard and the owning shard's interior columns
+/// behind them, wrapped at global edges (matching exchange_halo_periodic_xy
+/// on the whole grid).
+void build_pulls(const grid::GridDims& global, const decomp::HaloPlan& plan,
+                 std::vector<Shard>& shards) {
   const auto NX = static_cast<std::ptrdiff_t>(global.nx);
   const auto NY = static_cast<std::ptrdiff_t>(global.ny);
   std::vector<std::pair<std::ptrdiff_t, std::ptrdiff_t>> cells;
   for (const decomp::HaloMessage& message : plan.messages) {
     Shard& dst = shards[message.dst];
-    const Shard& src = shards[message.src];
+    const auto dst_view = std::as_const(dst.state.u).view();
+    const auto src_view = std::as_const(shards[message.src].state.u).view();
+    const decomp::RankExtent& src = shards[message.src].extent;
     piece_cells_local(message.piece, dst.extent.nx(), dst.extent.ny(), cells);
     for (const auto& [li, lj] : cells) {
       const std::ptrdiff_t gx =
           static_cast<std::ptrdiff_t>(dst.extent.x_begin) + li;
       const std::ptrdiff_t gy =
           static_cast<std::ptrdiff_t>(dst.extent.y_begin) + lj;
-      const bool zero =
-          !periodic && (gx < 0 || gx >= NX || gy < 0 || gy >= NY);
-      const auto si =
-          (gx + NX) % NX - static_cast<std::ptrdiff_t>(src.extent.x_begin);
-      const auto sj =
-          (gy + NY) % NY - static_cast<std::ptrdiff_t>(src.extent.y_begin);
-      for (grid::FieldD grid::WindState::* field : fields) {
-        double* halo = &(dst.state.*field).at(li, lj, 0);
-        if (zero) {
-          std::fill_n(halo, global.nz, 0.0);
-        } else {
-          std::copy_n(&(src.state.*field).at(si, sj, 0), global.nz, halo);
-        }
+      const std::ptrdiff_t si =
+          (gx + NX) % NX - static_cast<std::ptrdiff_t>(src.x_begin);
+      const std::ptrdiff_t sj =
+          (gy + NY) % NY - static_cast<std::ptrdiff_t>(src.y_begin);
+      dst.pulls.push_back({li * dst_view.stride_i + lj * dst_view.stride_j,
+                           message.src,
+                           si * src_view.stride_i + sj * src_view.stride_j,
+                           gx < 0 || gx >= NX || gy < 0 || gy >= NY});
+    }
+  }
+}
+
+/// Fills every x/y halo column of `shard`'s `fields` through its pull list:
+/// the owning neighbour's interior column, or 0.0 at a global edge under
+/// the Dirichlet rule. Resident buffers still hold the previous solve's
+/// halos, so every column is rewritten. z halos are never written: passes
+/// write interiors only, so they keep the zero the buffers were built with.
+/// Runs on the shard's own worker and reads only neighbours' interiors,
+/// which no pass writes, so shards pull concurrently.
+void pull_halos(Shard& shard, const std::vector<Shard>& shards,
+                const std::vector<grid::FieldD grid::WindState::*>& fields,
+                bool periodic) {
+  const std::size_t nz = shard.state.u.nz();
+  for (grid::FieldD grid::WindState::* field : fields) {
+    double* const origin = (shard.state.*field).view().origin;
+    for (const HaloPull& pull : shard.pulls) {
+      double* const halo = origin + pull.halo;
+      if (pull.edge && !periodic) {
+        std::fill_n(halo, nz, 0.0);
+      } else {
+        const double* const column =
+            (shards[pull.src].state.*field).view().origin + pull.column;
+        std::copy_n(column, nz, halo);
       }
     }
   }
 }
 
+/// What a shard's failed pass or exchange check means for the solve: a
+/// fault::FaultError is its device dying (kBackendFault, with `device`
+/// stored in `faulted_device` so the solve re-partitions without it);
+/// anything else is kInternal and kills no device.
+api::SolveResult shard_failure(const std::exception_ptr& error,
+                               std::size_t device, api::Backend backend,
+                               std::size_t& faulted_device) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const fault::FaultError& fault) {
+    faulted_device = device;
+    return api::error_result(api::SolveError::kBackendFault, backend,
+                             fault.what());
+  } catch (const std::exception& other) {
+    return api::error_result(api::SolveError::kInternal, backend,
+                             other.what());
+  } catch (...) {
+    return api::error_result(api::SolveError::kInternal, backend,
+                             "a shard threw an object that is not an "
+                             "exception");
+  }
+}
+
 }  // namespace
+
+/// Result buffers for a solver's solves, so a solve writes into memory it
+/// has used before instead of a fresh, zero-filled 3-field result. It keeps
+/// at most one buffer: the partition is resident for one shape at a time,
+/// and one extra result on the benchmark shape is 7.8 MB. The deleter of a
+/// published result returns its buffer here; it reaches the list through a
+/// weak reference, so a result may outlive its solver (its buffer is then
+/// freed). Thread-safe: results are dropped on any thread.
+class ShardedSolver::ResultFreeList
+    : public std::enable_shared_from_this<ResultFreeList> {
+ public:
+  /// A buffer of `dims`: the spare one when it has that shape (`recycled`
+  /// true: its interiors hold an earlier result), else a fresh, zeroed one.
+  std::unique_ptr<advect::SourceTerms> take(const grid::GridDims& dims,
+                                            bool& recycled) {
+    {
+      std::lock_guard lock(mutex_);
+      if (spare_ && spare_->su.dims() == dims) {
+        recycled = true;
+        return std::move(spare_);
+      }
+    }
+    recycled = false;
+    return std::make_unique<advect::SourceTerms>(dims);
+  }
+
+  /// `buffer` as a result's terms, handed back here when the last
+  /// reference drops.
+  std::shared_ptr<const advect::SourceTerms> publish(
+      std::unique_ptr<advect::SourceTerms> buffer) {
+    auto hand_back = [home = weak_from_this()](advect::SourceTerms* terms) {
+      std::unique_ptr<advect::SourceTerms> owned(terms);
+      if (const std::shared_ptr<ResultFreeList> list = home.lock()) {
+        list->give_back(std::move(owned));
+      }
+    };
+    return std::shared_ptr<const advect::SourceTerms>(buffer.release(),
+                                                      std::move(hand_back));
+  }
+
+  /// Keeps the newest buffer; one it replaces is freed outside the lock.
+  void give_back(std::unique_ptr<advect::SourceTerms> buffer) {
+    std::lock_guard lock(mutex_);
+    std::swap(spare_, buffer);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::unique_ptr<advect::SourceTerms> spare_;
+};
 
 /// Everything a solve needs that depends only on (grid dims, alive
 /// devices): the decomposition's extents and linted halo plan, each
-/// device's resident shard and one worker thread per shard. A grid that
-/// cannot be partitioned or a plan that fails its lint is kept as a
-/// rejection, so it keeps rejecting without a rebuild.
+/// device's resident shard with its pull list, and one worker thread per
+/// shard. A grid that cannot be partitioned or a plan that fails its lint
+/// is kept as a rejection, so it keeps rejecting without a rebuild.
 class ShardedSolver::ResidentPartition {
  public:
   ResidentPartition(const grid::GridDims& grid_dims,
@@ -181,11 +297,20 @@ class ShardedSolver::ResidentPartition {
     return grid_dims == dims && alive == devices;
   }
 
-  /// Runs task(slot) for every shard on that shard's own worker and returns
-  /// once all have finished. The caller and idle workers block on condition
-  /// variables; nothing spins. `task` must not throw.
+  /// The one hand-off of a solve: runs task(slot) for every shard on that
+  /// shard's own worker and returns once all have finished. The caller and
+  /// idle workers block on condition variables; nothing spins. `task` must
+  /// not throw.
   template <typename Task>
   void run_on_workers(Task& task);
+
+  /// The per-sweep barrier of a run_on_workers task, which every worker
+  /// must reach equally often: blocks until all have arrived. The last to
+  /// arrive runs step() alone first, while the others wait, and every
+  /// worker returns its verdict (false: stop the task). `step` must not
+  /// throw.
+  template <typename Step>
+  bool arrive_and_wait(Step& step);
 
   const grid::GridDims dims;
   const std::vector<std::size_t> devices;  ///< the alive list of the key
@@ -202,10 +327,14 @@ class ShardedSolver::ResidentPartition {
   std::mutex mutex_;
   std::condition_variable start_;
   std::condition_variable done_;
+  std::condition_variable swept_;
   void (*task_)(void*, std::size_t) = nullptr;
   void* task_context_ = nullptr;
   std::uint64_t generation_ = 0;  ///< bumped once per run_on_workers
   std::size_t pending_ = 0;       ///< workers still running this generation
+  std::uint64_t phase_ = 0;       ///< bumped once per completed barrier
+  std::size_t arrived_ = 0;       ///< workers waiting at this phase
+  bool proceed_ = true;           ///< the last barrier step's verdict
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
@@ -241,6 +370,7 @@ ShardedSolver::ResidentPartition::ResidentPartition(
   for (std::size_t slot = 0; slot < decomposition->ranks(); ++slot) {
     shards.emplace_back(devices[slot], decomposition->extent(slot), dims.nz);
   }
+  build_pulls(dims, plan, shards);
   try {
     for (std::size_t slot = 0; slot < shards.size(); ++slot) {
       workers_.emplace_back([this, slot] { work(slot); });
@@ -262,6 +392,24 @@ void ShardedSolver::ResidentPartition::run_on_workers(Task& task) {
   ++generation_;
   start_.notify_all();
   done_.wait(lock, [this] { return pending_ == 0; });
+}
+
+template <typename Step>
+bool ShardedSolver::ResidentPartition::arrive_and_wait(Step& step) {
+  std::unique_lock lock(mutex_);
+  if (++arrived_ == workers_.size()) {
+    arrived_ = 0;
+    proceed_ = step();
+    ++phase_;
+    const bool proceed = proceed_;
+    lock.unlock();
+    swept_.notify_all();
+    return proceed;
+  }
+  const std::uint64_t phase = phase_;
+  swept_.wait(lock, [&] { return phase_ != phase; });
+  // No later step can run before this worker arrives again.
+  return proceed_;
 }
 
 void ShardedSolver::ResidentPartition::work(std::size_t slot) {
@@ -299,7 +447,8 @@ void ShardedSolver::ResidentPartition::stop() {
 ShardedSolver::ShardedSolver(ShardOptions options)
     : options_(std::move(options)),
       metrics_(options_.metrics != nullptr ? options_.metrics
-                                           : &own_metrics_) {
+                                           : &own_metrics_),
+      results_(std::make_shared<ResultFreeList>()) {
   dead_.assign(std::max<std::size_t>(1, options_.devices), false);
 }
 
@@ -346,23 +495,10 @@ api::SolveResult ShardedSolver::run_partition(
     report_.shard_device.push_back(shard.device);
   }
 
-  // Scatter: interiors only, each shard on its own worker. Halos are filled
-  // by the exchange under the kernel's declared boundary rule, so the
-  // sharded pass reads exactly what the whole-grid pass reads.
+  // Which fields each sweep's pulls must refresh: the kernel's written
+  // fields (spec.fields_out). For Jacobi only the guess (u) changes per
+  // sweep; the rhs (v) never moves after the scatter.
   const bool poisson = kernel == api::Kernel::kPoissonJacobi;
-  auto scatter = [&](std::size_t slot) {
-    Shard& shard = shards[slot];
-    scatter_columns(state.u, shard.extent, shard.state.u);
-    scatter_columns(state.v, shard.extent, shard.state.v);
-    if (!poisson) {
-      scatter_columns(state.w, shard.extent, shard.state.w);
-    }
-  };
-  partition.run_on_workers(scatter);
-
-  // Which fields each exchange must refresh: the kernel's written fields
-  // (spec.fields_out). For Jacobi only the guess (u) changes per sweep; the
-  // rhs (v) never moves after the scatter.
   std::vector<grid::FieldD grid::WindState::*> exchanged;
   exchanged.push_back(&grid::WindState::u);
   if (halo_exchange_fields(spec) >= 3) {
@@ -387,93 +523,135 @@ api::SolveResult ShardedSolver::run_partition(
   // solver reports per shard through metrics_ instead.
   const stencil::EngineConfig engine = api::engine_config(options);
 
-  // One pass per shard, each on its own worker — the simulated device
-  // instances compute concurrently, like the paper's one-rank-per-board
-  // deployment. Faults are captured per shard and handled here once every
-  // worker has finished the sweep.
-  std::vector<std::exception_ptr> errors(used);
-  auto pass = [&](std::size_t slot) {
-    Shard& shard = shards[slot];
-    const double cpu_begin = thread_cpu_seconds();
-    try {
-      fault::throw_if(shard.pass_site);
-      switch (kernel) {
-        case api::Kernel::kAdvectPw:
-          stencil::run_advect(shard.state, *request.coefficients, shard.out,
-                              engine);
-          break;
-        case api::Kernel::kDiffusion:
-          stencil::run_diffusion(
-              shard.state,
-              *options.kernel_spec.get_if<api::DiffusionOptions>(),
-              shard.out, engine);
-          break;
-        case api::Kernel::kPoissonJacobi:
-          stencil::run_poisson_sweep(
-              shard.state, *options.kernel_spec.get_if<api::PoissonOptions>(),
-              shard.out, engine);
-          break;
-      }
-    } catch (...) {
-      errors[slot] = std::current_exception();
-    }
-    report_.shard_cpu_s[slot] += thread_cpu_seconds() - cpu_begin;
-    if (poisson && !errors[slot]) {
-      // The sweep's output becomes the next sweep's guess (ping-pong); the
-      // next exchange rewrites its x/y halos.
-      std::swap(shard.state.u, shard.out.su);
-    }
-  };
+  // A recycled buffer's interiors hold an earlier result. Every pass
+  // rewrites its extent of the fields it writes; Poisson writes su only,
+  // so its sv and sw extents are zeroed.
+  bool recycled = false;
+  std::unique_ptr<advect::SourceTerms> terms = results_->take(dims, recycled);
+  if (recycled) {
+    metrics_->counter_add("shard.results_recycled");
+  }
 
-  util::WallTimer exchange_timer;
-  double exchange_wall = 0.0;
-  for (std::size_t sweep = 0; sweep < sweeps; ++sweep) {
-    exchange_timer.reset();
+  // Per shard: its pass's exception, if any, and its last pull's wall time.
+  std::vector<std::exception_ptr> errors(used);
+  std::vector<double> pull_s(used, 0.0);
+  api::SolveResult failure;
+  std::size_t opened = 0;  ///< sweeps opened so far
+
+  // Opens the next sweep with the `shard.<id>.exchange` checks, in device
+  // order on one thread, so a seeded plan fires at the same hits whatever
+  // the thread timing.
+  auto open_sweep = [&]() -> bool {
     for (const Shard& shard : shards) {
       try {
         fault::throw_if(shard.exchange_site);
-      } catch (const fault::FaultError& error) {
-        faulted_device = shard.device;
-        return api::error_result(api::SolveError::kBackendFault, backend,
-                                 error.what());
+      } catch (...) {
+        failure = shard_failure(std::current_exception(), shard.device,
+                                backend, faulted_device);
+        return false;
       }
     }
-    exchange_halos(dims, partition.plan, shards, exchanged, periodic);
-    exchange_wall += exchange_timer.seconds();
+    ++opened;
     ++report_.exchanges;
     report_.halo_bytes += per_exchange.bytes;
     report_.halo_messages += per_exchange.messages;
     report_.exchange_model_s += per_exchange.seconds;
-
-    partition.run_on_workers(pass);
+    return true;
+  };
+  // Closes the sweep just run: its slowest pull, its pass failures (the
+  // lowest slot's wins) and, when another sweep follows, the Poisson
+  // ping-pong, whose guess swap must not race a neighbour's pull.
+  auto close_sweep = [&]() -> bool {
+    report_.exchange_wall_s += *std::max_element(pull_s.begin(), pull_s.end());
     for (std::size_t slot = 0; slot < used; ++slot) {
-      if (!errors[slot]) {
-        continue;
-      }
-      faulted_device = shards[slot].device;
-      try {
-        std::rethrow_exception(errors[slot]);
-      } catch (const std::exception& error) {
-        return api::error_result(api::SolveError::kBackendFault, backend,
-                                 error.what());
+      if (errors[slot]) {
+        failure = shard_failure(errors[slot], shards[slot].device, backend,
+                                faulted_device);
+        return false;
       }
     }
-  }
-  report_.exchange_wall_s = exchange_wall;
-  report_.sweeps = sweeps;
+    if (poisson && opened < sweeps) {
+      for (Shard& shard : shards) {
+        std::swap(shard.state.u, shard.next);
+      }
+    }
+    return true;
+  };
+  // Runs alone at each sweep's barrier, on whichever worker arrives last.
+  auto before_sweep = [&] {
+    return (opened == 0 || close_sweep()) && open_sweep();
+  };
 
-  auto terms = std::make_shared<advect::SourceTerms>(dims);
-  auto gather = [&](std::size_t slot) {
-    const Shard& shard = shards[slot];
-    if (poisson) {
-      gather_columns(shard.state.u, shard.extent, terms->su);
-    } else {
-      gather_columns(shard.out.su, shard.extent, terms->su);
-      gather_columns(shard.out.sv, shard.extent, terms->sv);
-      gather_columns(shard.out.sw, shard.extent, terms->sw);
+  // The whole solve of one shard, on its own worker — the simulated device
+  // instances compute concurrently, like the paper's one-rank-per-board
+  // deployment. Scatter its interior, then per sweep wait for the others,
+  // pull its halos and run its pass. The last pass writes the shard's
+  // extent of the result in place; the hand-off's completion is the last
+  // sweep's barrier. Halos are filled under the kernel's declared boundary
+  // rule, so the sharded pass reads exactly what the whole-grid pass reads.
+  auto solve_shard = [&](std::size_t slot) {
+    Shard& shard = shards[slot];
+    scatter_columns(state.u, shard.extent, shard.state.u);
+    scatter_columns(state.v, shard.extent, shard.state.v);
+    if (!poisson) {
+      scatter_columns(state.w, shard.extent, shard.state.w);
+    } else if (recycled) {
+      zero_columns(shard.extent, terms->sv);
+      zero_columns(shard.extent, terms->sw);
+    }
+    const kernel::OutViews<3> result{extent_view(terms->su, shard.extent),
+                                     extent_view(terms->sv, shard.extent),
+                                     extent_view(terms->sw, shard.extent)};
+    for (std::size_t sweep = 0; sweep < sweeps; ++sweep) {
+      if (!partition.arrive_and_wait(before_sweep)) {
+        return;
+      }
+      const util::WallTimer pull_timer;
+      pull_halos(shard, shards, exchanged, periodic);
+      pull_s[slot] = pull_timer.seconds();
+      const double cpu_begin = thread_cpu_seconds();
+      try {
+        fault::throw_if(shard.pass_site);
+        if (options_.before_pass) {
+          options_.before_pass(shard.device);
+        }
+        switch (kernel) {
+          case api::Kernel::kAdvectPw:
+            stencil::run_pass(stencil::advect_spec(),
+                              kernel::inputs<3>(shard.state), result,
+                              stencil::AdvectOp(*request.coefficients, dims.nz),
+                              engine);
+            break;
+          case api::Kernel::kDiffusion:
+            stencil::run_pass(
+                stencil::diffusion_spec(), kernel::inputs<3>(shard.state),
+                result,
+                stencil::DiffusionOp(
+                    *options.kernel_spec.get_if<api::DiffusionOptions>()),
+                engine);
+            break;
+          case api::Kernel::kPoissonJacobi:
+            stencil::run_pass(
+                stencil::poisson_spec(), kernel::inputs<2>(shard.state),
+                {sweep + 1 == sweeps ? result[0] : shard.next.view()},
+                stencil::PoissonOp(
+                    *options.kernel_spec.get_if<api::PoissonOptions>()),
+                engine);
+            break;
+        }
+      } catch (...) {
+        errors[slot] = std::current_exception();
+      }
+      report_.shard_cpu_s[slot] += thread_cpu_seconds() - cpu_begin;
     }
   };
-  partition.run_on_workers(gather);
+  partition.run_on_workers(solve_shard);
+  metrics_->counter_add("shard.handoffs");
+  if (!failure.ok() || !close_sweep()) {
+    results_->give_back(std::move(terms));  // the retry's buffer
+    return failure;
+  }
+  report_.sweeps = sweeps;
 
   for (std::size_t slot = 0; slot < used; ++slot) {
     const double cpu = report_.shard_cpu_s[slot];
@@ -493,7 +671,7 @@ api::SolveResult ShardedSolver::run_partition(
 
   api::SolveResult result;
   result.backend = backend;
-  result.terms = std::move(terms);
+  result.terms = results_->publish(std::move(terms));
   return result;
 }
 
@@ -526,7 +704,23 @@ api::SolveResult ShardedSolver::solve(const api::SolveRequest& request) {
   while (!alive.empty()) {
     ++attempts;
     std::size_t faulted = kNoDevice;
-    api::SolveResult result = run_partition(request, alive, faulted);
+    api::SolveResult result;
+    try {
+      result = run_partition(request, alive, faulted);
+    } catch (const std::exception& error) {
+      // Building the partition or the result buffer failed (allocation,
+      // a worker thread that could not start): no device is at fault.
+      result = api::error_result(api::SolveError::kInternal, backend,
+                                 error.what());
+    }
+    if (result.error == api::SolveError::kInternal) {
+      // Only a fault::FaultError is a device dying; anything else a pass
+      // throws is a typed error that kills no device and re-partitions
+      // nothing.
+      metrics_->counter_add("shard.internal_error");
+      result.metrics = metrics_->snapshot();
+      return result;
+    }
     if (faulted == kNoDevice) {
       if (result.ok()) {
         result.seconds = timer.seconds();

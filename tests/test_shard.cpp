@@ -6,9 +6,13 @@
 // sharded routing service.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -289,6 +293,106 @@ TEST(ShardChaos, CoefficientMismatchKillsNoDevice) {
       request_for(f, api::Kernel::kAdvectPw, api::Backend::kFused));
   EXPECT_TRUE(well_formed.ok()) << well_formed.message;
   EXPECT_EQ(solver.last_report().devices_used, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned fault schedules: a seeded plan on a fixed sequence of solves fires
+// at the same hits, kills the same devices, re-partitions as often and
+// yields the same bits, whatever thread runs the exchange. The expected
+// values were captured from the solver that exchanged halos serially on the
+// calling thread. Only sites one thread consults in a fixed order are
+// armed: a device's own sites, and every device's exchange site (checked in
+// device order once per sweep). A glob over several devices' pass sites
+// would depend on thread timing.
+
+/// FNV-1a over the bit patterns of a result's interior values.
+std::uint64_t result_bits(const api::SolveResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const grid::FieldD* field :
+       {&result.terms->su, &result.terms->sv, &result.terms->sw}) {
+    const grid::GridDims d = field->dims();
+    for (std::size_t i = 0; i < d.nx; ++i) {
+      for (std::size_t j = 0; j < d.ny; ++j) {
+        for (std::size_t k = 0; k < d.nz; ++k) {
+          const double value =
+              field->at(static_cast<std::ptrdiff_t>(i),
+                        static_cast<std::ptrdiff_t>(j),
+                        static_cast<std::ptrdiff_t>(k));
+          std::uint64_t bits = 0;
+          std::memcpy(&bits, &value, sizeof bits);
+          hash = (hash ^ bits) * 0x100000001b3ull;
+        }
+      }
+    }
+  }
+  return hash;
+}
+
+/// Three solves of `request` on a fresh 4-device solver under `plan`: the
+/// schedule, the dead devices, then per solve its re-partitions and bits.
+std::string pinned_run(const fault::FaultPlan& plan,
+                       const api::SolveRequest& request) {
+  fault::FaultInjector injector(plan);
+  shard::ShardOptions options;
+  options.devices = 4;
+  shard::ShardedSolver solver(options);
+  const std::uint64_t single = result_bits(api::Solver().solve(request));
+  std::string run;
+  {
+    fault::ScopedArm arm(injector);
+    for (int solve = 0; solve < 3; ++solve) {
+      const api::SolveResult result = solver.solve(request);
+      EXPECT_TRUE(result.ok()) << result.message;
+      if (!result.ok()) {
+        return run;
+      }
+      EXPECT_EQ(result_bits(result), single);
+      char bits[24];
+      std::snprintf(bits, sizeof bits, "%016llx",
+                    static_cast<unsigned long long>(result_bits(result)));
+      run += " r" + std::to_string(solver.last_report().repartitions) + ":" +
+             bits;
+    }
+  }
+  return injector.report().schedule() + " dead " +
+         std::to_string(solver.dead_devices()) + run;
+}
+
+TEST(ShardChaos, SeededFaultSchedulesArePinned) {
+  fault::FaultPlan device_two;
+  device_two.rules.push_back({.site = "shard.2.*",
+                              .kind = fault::FaultKind::kKernelTimeout,
+                              .after = 5});
+  // The matcher takes a trailing wildcard only, so "every device's exchange
+  // site" is one rule per device.
+  fault::FaultPlan exchanges;
+  exchanges.seed = 2323;
+  for (std::size_t device = 0; device < 4; ++device) {
+    exchanges.rules.push_back(
+        {.site = "shard." + std::to_string(device) + ".exchange",
+         .kind = fault::FaultKind::kTransferFailure,
+         .probability = 0.3});
+  }
+
+  const Fixture f;
+  api::SolveRequest poisson =
+      request_for(f, api::Kernel::kPoissonJacobi, api::Backend::kFused);
+  poisson.options.kernel_spec = api::PoissonOptions{.iterations = 16};
+  const api::SolveRequest advection =
+      request_for(f, api::Kernel::kAdvectPw, api::Backend::kFused);
+
+  EXPECT_EQ(pinned_run(device_two, poisson),
+            "0:[5] dead 1 r1:b8373c37e6dbd302 r0:b8373c37e6dbd302 "
+            "r0:b8373c37e6dbd302");
+  EXPECT_EQ(pinned_run(device_two, advection),
+            "0:[5] dead 1 r0:51587ba77ab34daa r0:51587ba77ab34daa "
+            "r1:51587ba77ab34daa");
+  EXPECT_EQ(pinned_run(exchanges, poisson),
+            "0:[7] 1:[2] 2:[4] 3:[4] dead 4 r4:b8373c37e6dbd302 "
+            "r0:b8373c37e6dbd302 r0:b8373c37e6dbd302");
+  EXPECT_EQ(pinned_run(exchanges, advection),
+            "0:[] 1:[2] 2:[] 3:[] dead 1 r0:51587ba77ab34daa "
+            "r0:51587ba77ab34daa r1:51587ba77ab34daa");
 }
 
 // ---------------------------------------------------------------------------
@@ -664,6 +768,241 @@ TEST(ShardResident, RebuildsForNewGridOrDeadDevice) {
   for (const std::size_t device : solver.last_report().shard_device) {
     EXPECT_NE(device, 2u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One hand-off per solve: each worker scatters, pulls its own halos per
+// sweep behind a barrier, and its last pass writes its extent of a
+// recycled result buffer.
+
+std::uint64_t handoffs(shard::ShardedSolver& solver) {
+  return solver.metrics().counter("shard.handoffs");
+}
+
+TEST(ShardHandoff, OnePerSolveOnEveryDeviceCount) {
+  const Fixture f;
+  for (const api::Kernel kernel : api::kAllKernels) {
+    const api::SolveRequest request =
+        request_for(f, kernel, api::Backend::kFused);
+    const api::SolveResult single = api::Solver().solve(request);
+    for (const std::size_t shards : kShardCounts) {
+      SCOPED_TRACE(::testing::Message()
+                   << api::to_string(kernel) << " on " << shards);
+      shard::ShardOptions options;
+      options.devices = shards;
+      shard::ShardedSolver solver(options);
+      for (std::uint64_t solves = 1; solves <= 3; ++solves) {
+        expect_bit_exact(single, solver.solve(request));
+        EXPECT_EQ(handoffs(solver), solves);
+      }
+    }
+  }
+}
+
+TEST(ShardHandoff, EverySweepCountBitExactFaultFreeAndUnderAKill) {
+  // Poisson's sweeps each open behind a barrier, so 1, 2 and 16 of them
+  // cover a lone barrier, one guess swap and a long ping-pong. The kill
+  // lands on the last sweep's pass of a middle device; with one device it
+  // is the CPU rung.
+  const Fixture f;
+  for (const api::Kernel kernel : api::kAllKernels) {
+    for (const std::size_t sweeps : {1, 2, 16}) {
+      if (kernel != api::Kernel::kPoissonJacobi && sweeps != 1) {
+        continue;
+      }
+      api::SolveRequest request =
+          request_for(f, kernel, api::Backend::kFused);
+      if (kernel == api::Kernel::kPoissonJacobi) {
+        request.options.kernel_spec =
+            api::PoissonOptions{.iterations = sweeps};
+      }
+      const api::SolveResult single = api::Solver().solve(request);
+      for (const std::size_t shards : kShardCounts) {
+        SCOPED_TRACE(::testing::Message() << api::to_string(kernel) << " x"
+                                          << sweeps << " on " << shards);
+        shard::ShardOptions options;
+        options.devices = shards;
+        shard::ShardedSolver healthy(options);
+        const api::SolveResult clean = healthy.solve(request);
+        expect_bit_exact(single, clean);
+        EXPECT_FALSE(clean.degraded);
+        EXPECT_EQ(healthy.last_report().exchanges, sweeps);
+
+        fault::FaultInjector injector(
+            kill_device_plan(shards / 2, 2 * sweeps - 1));
+        shard::ShardedSolver doomed(options);
+        api::SolveResult survived;
+        {
+          fault::ScopedArm arm(injector);
+          survived = doomed.solve(request);
+        }
+        expect_bit_exact(single, survived);
+        EXPECT_TRUE(survived.degraded);
+        EXPECT_EQ(doomed.dead_devices(), 1u);
+        EXPECT_EQ(injector.report().injected, 1u);
+      }
+    }
+  }
+}
+
+TEST(ShardHandoff, NonFaultExceptionIsInternalAndKillsNoDevice) {
+  // Only a fault::FaultError is a device dying. A std::runtime_error from
+  // one shard's pass comes back as kInternal from both entry points: no
+  // device dies, nothing re-partitions, and the next solve runs bit-exact
+  // on every device.
+  const Fixture f;
+  std::atomic<bool> armed{true};
+  shard::ShardOptions options;
+  options.devices = 4;
+  options.before_pass = [&armed](std::size_t device) {
+    if (device == 2 && armed.load()) {
+      throw std::runtime_error("device 2 pass: not a device fault");
+    }
+  };
+  for (const api::Kernel kernel : api::kAllKernels) {
+    SCOPED_TRACE(api::to_string(kernel));
+    const api::SolveRequest request =
+        request_for(f, kernel, api::Backend::kFused);
+    const api::SolveResult single = api::Solver().solve(request);
+    shard::ShardedSolver solver(options);
+    shard::ShardServiceConfig config;
+    config.shard = options;
+    shard::ShardedSolveService service(config);
+
+    armed = true;
+    api::SolveResult direct;
+    EXPECT_NO_THROW(direct = solver.solve(request));
+    const api::SolveResult served = service.submit(request);
+    for (const api::SolveResult* failed :
+         std::initializer_list<const api::SolveResult*>{&direct, &served}) {
+      EXPECT_EQ(failed->error, api::SolveError::kInternal);
+      EXPECT_NE(failed->message.find("not a device fault"), std::string::npos)
+          << failed->message;
+      EXPECT_EQ(failed->terms, nullptr);
+    }
+    for (shard::ShardedSolver* used :
+         std::initializer_list<shard::ShardedSolver*>{&solver,
+                                                      &service.solver()}) {
+      EXPECT_EQ(used->dead_devices(), 0u);
+      EXPECT_EQ(used->last_report().repartitions, 0u);
+      EXPECT_EQ(partitions_built(*used), 1u);
+      EXPECT_EQ(used->metrics().counter("shard.internal_error"), 1u);
+    }
+
+    armed = false;
+    const api::SolveResult direct_again = solver.solve(request);
+    const api::SolveResult served_again = service.submit(request);
+    for (const api::SolveResult* again :
+         std::initializer_list<const api::SolveResult*>{&direct_again,
+                                                        &served_again}) {
+      expect_bit_exact(single, *again);
+      EXPECT_FALSE(again->degraded);
+      EXPECT_FALSE(again->cached);
+    }
+    for (shard::ShardedSolver* used :
+         std::initializer_list<shard::ShardedSolver*>{&solver,
+                                                      &service.solver()}) {
+      EXPECT_EQ(used->last_report().devices_used, 4u);
+      EXPECT_EQ(partitions_built(*used), 1u);
+    }
+  }
+}
+
+TEST(ShardResult, HeldResultsAreDistinctAndDroppedOnesRecycled) {
+  const Fixture f;
+  shard::ShardOptions options;
+  options.devices = 4;
+  shard::ShardedSolver solver(options);
+  const api::SolveRequest advection =
+      request_for(f, api::Kernel::kAdvectPw, api::Backend::kFused);
+  const api::SolveRequest diffusion =
+      request_for(f, api::Kernel::kDiffusion, api::Backend::kFused);
+
+  const auto recycled = [&] {
+    return solver.metrics().counter("shard.results_recycled");
+  };
+
+  const api::SolveResult first = solver.solve(advection);
+  api::SolveResult second = solver.solve(diffusion);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_NE(first.terms.get(), second.terms.get());
+  EXPECT_EQ(recycled(), 0u);
+  expect_bit_exact(api::Solver().solve(advection), first);
+  expect_bit_exact(api::Solver().solve(diffusion), second);
+
+  // A dropped result's buffer is the next solve's, rewritten in full.
+  const advect::SourceTerms* const dropped = second.terms.get();
+  second = {};
+  api::SolveResult third = solver.solve(advection);
+  EXPECT_EQ(recycled(), 1u);
+  EXPECT_EQ(third.terms.get(), dropped);
+  expect_bit_exact(first, third);
+
+  // An attempt a device death cuts short hands its buffer to the retry.
+  third = {};
+  fault::FaultInjector injector(kill_device_plan(1, 0));
+  api::SolveResult retried;
+  {
+    fault::ScopedArm arm(injector);
+    retried = solver.solve(diffusion);
+  }
+  EXPECT_EQ(retried.attempts, 2u);
+  EXPECT_EQ(recycled(), 3u);
+  expect_bit_exact(api::Solver().solve(diffusion), retried);
+}
+
+/// Whether every interior value of `field` is +0.0.
+bool interior_is_zero(const grid::FieldD& field) {
+  return grid::compare_interior(field, grid::FieldD(field.dims())).bit_equal();
+}
+
+TEST(ShardResult, PoissonAfterAdvectionHasZeroSvSw) {
+  // api::Solver and poisson_reference return Poisson's sv and sw as zeros;
+  // a recycled buffer still holds the advection terms there.
+  const Fixture f;
+  const api::SolveRequest advection =
+      request_for(f, api::Kernel::kAdvectPw, api::Backend::kFused);
+  const api::SolveRequest poisson =
+      request_for(f, api::Kernel::kPoissonJacobi, api::Backend::kFused);
+  const api::SolveResult single = api::Solver().solve(poisson);
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    shard::ShardOptions options;
+    options.devices = shards;
+    shard::ShardedSolver solver(options);
+    const advect::SourceTerms* buffer = nullptr;
+    {
+      const api::SolveResult advected = solver.solve(advection);
+      ASSERT_TRUE(advected.ok());
+      ASSERT_FALSE(interior_is_zero(advected.terms->sv));
+      buffer = advected.terms.get();
+    }
+    const api::SolveResult solved = solver.solve(poisson);
+    ASSERT_TRUE(solved.ok());
+    EXPECT_EQ(solver.metrics().counter("shard.results_recycled"), 1u);
+    EXPECT_EQ(solved.terms.get(), buffer);
+    EXPECT_TRUE(interior_is_zero(solved.terms->sv));
+    EXPECT_TRUE(interior_is_zero(solved.terms->sw));
+    expect_bit_exact(single, solved);
+  }
+}
+
+TEST(ShardResult, OutlivesItsSolver) {
+  // The buffer's way home is a weak reference: dropped after the solver is
+  // gone, it is freed, never returned to a destroyed list.
+  const Fixture f;
+  const api::SolveRequest request =
+      request_for(f, api::Kernel::kDiffusion, api::Backend::kFused);
+  api::SolveResult kept;
+  {
+    shard::ShardOptions options;
+    options.devices = 4;
+    shard::ShardedSolver solver(options);
+    kept = solver.solve(request);
+  }
+  expect_bit_exact(api::Solver().solve(request), kept);
+  kept.terms.reset();
+  EXPECT_EQ(kept.terms, nullptr);
 }
 
 // ---------------------------------------------------------------------------

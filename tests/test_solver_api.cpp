@@ -163,24 +163,32 @@ TEST(SolverApi, EmptyGridIsATypedError) {
   EXPECT_THROW(grid::WindState state(empty), std::exception);
 }
 
-TEST(SolverApi, UnchunkedOverlappedHostDriverIsRejected) {
-  api::SolverOptions options;
-  api::HostOptions host;
-  host.overlapped = true;
-  options.backend = host;
-  options.kernel.chunk_y = 0;  // unchunked
-  EXPECT_EQ(api::validate(options), api::SolveError::kInvalidChunking);
-
+TEST(SolverApi, UnchunkedOverlappedHostDriverIsBitExact) {
+  // chunk_y == 0 only reaches the engine that runs each X-chunk, where it
+  // means unchunked: the overlapped driver runs it like any other width.
   const Fixture f;
-  const auto result =
-      api::Solver(options).solve(f.state, f.coefficients);
-  EXPECT_EQ(result.error, api::SolveError::kInvalidChunking);
-  EXPECT_FALSE(result.ok());
+  for (const api::Kernel kernel : api::kAllKernels) {
+    SCOPED_TRACE(api::to_string(kernel));
+    api::SolverOptions options;
+    api::HostOptions host;
+    host.overlapped = true;
+    host.x_chunks = 4;
+    options.backend = host;
+    options.kernel_spec = kernel;
+    options.kernel.chunk_y = 0;  // unchunked
+    EXPECT_EQ(api::validate(options), api::SolveError::kNone);
 
-  // The sequential driver has no such constraint.
-  host.overlapped = false;
-  options.backend = host;
-  EXPECT_EQ(api::validate(options), api::SolveError::kNone);
+    const auto result = api::Solver(options).solve(f.state, f.coefficients);
+    ASSERT_TRUE(result.ok()) << result.message;
+    const auto reference = run(f, api::Backend::kReference, nullptr, kernel);
+    ASSERT_TRUE(reference.ok()) << reference.message;
+    EXPECT_TRUE(grid::compare_interior(reference.terms->su, result.terms->su)
+                    .bit_equal());
+    EXPECT_TRUE(grid::compare_interior(reference.terms->sv, result.terms->sv)
+                    .bit_equal());
+    EXPECT_TRUE(grid::compare_interior(reference.terms->sw, result.terms->sw)
+                    .bit_equal());
+  }
 }
 
 TEST(SolverApi, ZeroResourceBackendsAreRejected) {
