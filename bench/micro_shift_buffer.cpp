@@ -1,26 +1,21 @@
 // Measured-on-host throughput of the stencil providers: the paper's 3D
-// shift buffer versus the previous-generation delay line, and the full
-// fused kernel datapath.
+// shift buffer versus the previous-generation delay line. Whole-kernel
+// solves are timed by perfbench (api.solve_ms.<kernel>.<backend>), not
+// here.
 //
 // This bench owns its main: before handing over to google-benchmark it runs
-// a short instrumented sweep of the shift buffer and fused kernel through a
+// a short instrumented sweep of the shift buffer through a
 // pw::obs::MetricsRegistry and dumps the result as BENCH_micro_shift_buffer
 // .json (override with --json=<path>), so reproduce.sh gets a
 // machine-readable artefact even when the full benchmark run is skipped.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "pw/advect/coefficients.hpp"
-#include "pw/advect/reference.hpp"
 #include "pw/baseline/delay_line.hpp"
-#include "pw/grid/init.hpp"
-#include "pw/kernel/fused.hpp"
 #include "pw/kernel/shift_buffer.hpp"
-#include "pw/kernel/vectorized.hpp"
 #include "pw/util/rng.hpp"
 #include "pw/util/timer.hpp"
 
@@ -62,46 +57,9 @@ void BM_DelayLineStencil(benchmark::State& state) {
 }
 BENCHMARK(BM_DelayLineStencil)->Arg(10)->Arg(18)->Arg(34)->Arg(66);
 
-void BM_FusedKernel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const pw::grid::GridDims dims{n, n, 64};
-  pw::grid::WindState wind(dims);
-  pw::grid::init_random(wind, 3);
-  const auto coefficients = pw::advect::PwCoefficients::from_geometry(
-      pw::grid::Geometry::uniform(dims, 100.0, 100.0, 25.0));
-  pw::advect::SourceTerms out(dims);
-  for (auto _ : state) {
-    pw::kernel::run_kernel_fused(wind, coefficients, out,
-                                 pw::kernel::KernelConfig{64});
-    benchmark::DoNotOptimize(out.su.raw().data());
-  }
-  state.SetItemsProcessed(state.iterations() * dims.cells());
-}
-BENCHMARK(BM_FusedKernel)->Arg(16)->Arg(32)->Arg(64);
-
-
-void BM_VectorizedKernelF32(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  const pw::grid::GridDims dims{32, 32, 64};
-  pw::grid::WindState wind(dims);
-  pw::grid::init_random(wind, 4);
-  const auto coefficients = pw::advect::PwCoefficients::from_geometry(
-      pw::grid::Geometry::uniform(dims, 100.0, 100.0, 25.0));
-  pw::advect::SourceTerms out(dims);
-  for (auto _ : state) {
-    pw::kernel::run_kernel_vectorized_f32(wind, coefficients, out,
-                                          pw::kernel::KernelConfig{64},
-                                          lanes);
-    benchmark::DoNotOptimize(out.su.raw().data());
-  }
-  state.SetItemsProcessed(state.iterations() * dims.cells());
-}
-BENCHMARK(BM_VectorizedKernelF32)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
-
-/// One quick instrumented pass per shift-buffer face size plus one fused
-/// kernel run, feeding the registry that becomes the JSON artefact. Kept
-/// deliberately small (a few ms per face) so the artefact is produced even
-/// on smoke runs.
+/// One quick instrumented pass per shift-buffer face size, feeding the
+/// registry that becomes the JSON artefact. Kept deliberately small (a few
+/// ms per face) so the artefact is produced even on smoke runs.
 void record_instrumented_sweep(pw::obs::MetricsRegistry& registry) {
   using namespace pw;
   for (const std::size_t face : {std::size_t{10}, std::size_t{18},
@@ -128,18 +86,6 @@ void record_instrumented_sweep(pw::obs::MetricsRegistry& registry) {
                        static_cast<double>(pushes) / seconds);
     registry.observe("micro.shift_buffer.pass_seconds", seconds);
   }
-
-  // The fused kernel reports its own kernel.* counters and stencils/sec
-  // histogram once the registry is attached to its config.
-  const grid::GridDims dims{32, 32, 64};
-  grid::WindState wind(dims);
-  grid::init_random(wind, 3);
-  const auto coefficients = advect::PwCoefficients::from_geometry(
-      grid::Geometry::uniform(dims, 100.0, 100.0, 25.0));
-  advect::SourceTerms out(dims);
-  kernel::KernelConfig config{64};
-  config.metrics = &registry;
-  kernel::run_kernel_fused(wind, coefficients, out, config);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@
 //
 // Grids are small on purpose: the storm measures the serve tier (admission,
 // scheduling, shedding, caching, coalescing) under throughput, not kernel
-// FLOPs — bench/serve_throughput owns the compute-bound story.
+// FLOPs — perfbench's `serve` and `solve` workloads time the solves.
 //
 // Flags: --requests=N --rate=HZ --catalogue=N --zipf=S --capacity=N
 //        --workers=N --batch=N --cache_mb=N --seed=N --csv=PATH --json=PATH

@@ -1,24 +1,17 @@
 // Regenerates paper Table I: kernel-only performance at 16M grid points for
 // the CPU (1 and 24 cores), the V100, and a single HLS kernel on the Alveo
-// U280 and Stratix 10. Pass --measure to additionally run the real threaded
-// CPU baseline and the real dataflow kernel on this host (scaled-down grid).
+// U280 and Stratix 10. Model output only: perfbench measures this host's
+// engines (api.solve_ms.<kernel>.<backend>).
 //
 // Alongside the ASCII table, the run dumps a registry-backed JSON artefact
 // (default BENCH_table1.json, override with --json=): GFLOPS and % of
 // theoretical peak come straight from fpga::record_kernel_only, not hand
 // math.
-#include <iostream>
-#include <memory>
+#include <string>
 
 #include "bench_common.hpp"
-#include "pw/advect/coefficients.hpp"
-#include "pw/advect/cpu_baseline.hpp"
-#include "pw/advect/flops.hpp"
 #include "pw/exp/experiments.hpp"
 #include "pw/fpga/perf_model.hpp"
-#include "pw/kernel/fused.hpp"
-#include "pw/util/thread_pool.hpp"
-#include "pw/util/timer.hpp"
 
 namespace {
 
@@ -60,43 +53,6 @@ int main(int argc, char** argv) {
   registry.gauge_set("table1.cells", static_cast<double>(paper_dims.cells()));
 
   const int status = bench::emit(exp::table1(devices), cli);
-
-  if (cli.get_bool("measure", false)) {
-    // A host-measured sanity row: the real threaded baseline and the real
-    // dataflow kernel on a 4M grid (milder memory footprint than 16M),
-    // both instrumented through the same registry.
-    const grid::GridDims dims = grid::paper_grid(4);
-    auto state = std::make_unique<grid::WindState>(dims);
-    grid::init_random(*state, 2026);
-    const auto coefficients = advect::PwCoefficients::from_geometry(
-        grid::Geometry::uniform(dims, 100.0, 100.0, 25.0));
-    auto out = std::make_unique<advect::SourceTerms>(dims);
-
-    util::ThreadPool pool;
-    advect::CpuAdvectorBaseline baseline(pool);
-    const auto cpu_stats = baseline.run(*state, coefficients, *out);
-    registry.gauge_set("table1.measured.cpu_baseline.gflops",
-                       cpu_stats.gflops);
-    registry.gauge_set("table1.measured.cpu_baseline.threads",
-                       static_cast<double>(pool.size()));
-
-    kernel::KernelConfig config{64};
-    config.metrics = &registry;
-    util::WallTimer timer;
-    kernel::run_kernel_fused(*state, coefficients, *out, config);
-    const double fused_s = timer.seconds();
-    const double fused_gflops =
-        static_cast<double>(advect::total_flops(dims)) / fused_s / 1e9;
-    registry.gauge_set("table1.measured.fused.gflops", fused_gflops);
-
-    std::cout << "\n[measured on this host, 4M cells]\n"
-              << "  threaded CPU baseline (" << pool.size()
-              << " threads): " << util::format_double(cpu_stats.gflops, 2)
-              << " GFLOPS\n"
-              << "  dataflow kernel (fused, software): "
-              << util::format_double(fused_gflops, 2) << " GFLOPS\n";
-  }
-
   const int json_status =
       bench::emit_registry(registry, "BENCH_table1.json", cli);
   return status != 0 ? status : json_status;

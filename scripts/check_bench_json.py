@@ -51,11 +51,6 @@ GAUGE_GATES = {
         "the lock-free SPSC ring must hand off elements at least 5x "
         "faster than the retired mutex+condvar stream (PR 6 acceptance "
         "bar; ~7x measured on the reference host)"),
-    "stencils.bench.bit_exact": (
-        "min", 1.0,
-        "every pw::stencil registry kernel's fused-engine run must stay "
-        "bit-identical to its scalar reference (1.0 = all kernels exact; "
-        "any divergence zeroes the gauge)"),
     "scaleout.bench.bit_exact": (
         "min", 1.0,
         "the sharded multi-device solve must stay bit-identical to the "

@@ -4,10 +4,10 @@
 # root — the one-command reproduction of the paper's evaluation.
 #
 # The instrumented benches additionally dump machine-readable metrics
-# registries (BENCH_table1.json, BENCH_fig6.json,
-# BENCH_micro_shift_buffer.json, BENCH_serve.json, BENCH_fault.json,
-# BENCH_streams.json, BENCH_scaleout.json, BENCH_storm.json); the run fails
-# if any artefact is missing or malformed (validated by
+# registries (BENCH_table1.json, BENCH_stencils.json, BENCH_fig6.json,
+# BENCH_micro_shift_buffer.json, BENCH_fault.json, BENCH_streams.json,
+# BENCH_scaleout.json, BENCH_storm.json); the run fails if any artefact is
+# missing or malformed (validated by
 # scripts/check_bench_json.py, which also gates the disarmed fault-hook
 # overhead reported in BENCH_fault.json at < 1%, the stream-fabric handoff
 # budgets in BENCH_streams.json, including the >= 5x SPSC-vs-mutex floor,
@@ -45,9 +45,9 @@ done
 # Registry-backed JSON artefacts: every instrumented bench must have left a
 # valid snapshot behind, or the reproduction run fails.
 python3 scripts/check_bench_json.py BENCH_table1.json
+python3 scripts/check_bench_json.py BENCH_stencils.json
 python3 scripts/check_bench_json.py --require-spans BENCH_fig6.json
 python3 scripts/check_bench_json.py BENCH_micro_shift_buffer.json
-python3 scripts/check_bench_json.py BENCH_serve.json
 python3 scripts/check_bench_json.py BENCH_fault.json
 python3 scripts/check_bench_json.py BENCH_streams.json
 python3 scripts/check_bench_json.py BENCH_scaleout.json

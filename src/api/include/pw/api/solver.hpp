@@ -77,7 +77,6 @@ enum class SolveError {
   kEmptyGrid,          ///< nx, ny or nz is zero (or a request carries none)
   kHaloMismatch,       ///< fields must carry a halo of exactly 1
   kNoKernelInstances,  ///< kMultiKernel with kernels == 0
-  kNoLanes,            ///< kVectorized with lanes == 0
   kNoChunks,           ///< kHostOverlap overlapped with x_chunks == 0
   // Serving-layer outcomes (pw::serve and the async facade).
   kRejectedByLint,     ///< admission-time pw::lint check battery failed
@@ -97,12 +96,11 @@ enum class SolveError {
 std::string describe(SolveError error);
 
 /// Every SolveError enumerator, for exhaustive iteration in tests.
-inline constexpr std::array<SolveError, 17> kAllSolveErrors = {
+inline constexpr std::array<SolveError, 16> kAllSolveErrors = {
     SolveError::kNone,
     SolveError::kEmptyGrid,
     SolveError::kHaloMismatch,
     SolveError::kNoKernelInstances,
-    SolveError::kNoLanes,
     SolveError::kNoChunks,
     SolveError::kRejectedByLint,
     SolveError::kQueueFull,
@@ -119,7 +117,7 @@ inline constexpr std::array<SolveError, 17> kAllSolveErrors = {
 
 // ---------------------------------------------------------------------------
 // Per-backend options. Exactly one of these lives in a BackendSpec, so a
-// configuration like "lanes with kMultiKernel" is unrepresentable rather
+// configuration like "threads with kMultiKernel" is unrepresentable rather
 // than merely rejected.
 
 struct ReferenceOptions {};
@@ -134,9 +132,7 @@ struct MultiKernelOptions {
   std::size_t kernels = 4;  ///< concurrent kernel instance count
 };
 
-struct VectorizedOptions {
-  std::size_t lanes = 8;  ///< f32 vector width
-};
+struct VectorizedOptions {};
 
 /// Knobs of Backend::kHostOverlap: the ocl::HostDriver's own struct, which
 /// every kernel's host_overlap runs through (X-chunks, overlap, device

@@ -76,8 +76,6 @@ std::string describe(SolveError error) {
       return "wind fields must carry a halo of exactly 1";
     case SolveError::kNoKernelInstances:
       return "multi-kernel backend needs at least one kernel instance";
-    case SolveError::kNoLanes:
-      return "vectorized backend needs at least one lane";
     case SolveError::kNoChunks:
       return "overlapped host driver needs at least one X-chunk";
     case SolveError::kRejectedByLint:
@@ -174,11 +172,6 @@ SolveError validate(const SolverOptions& options) {
   if (const auto* multi = options.backend.get_if<MultiKernelOptions>()) {
     if (multi->kernels == 0) {
       return SolveError::kNoKernelInstances;
-    }
-  }
-  if (const auto* vec = options.backend.get_if<VectorizedOptions>()) {
-    if (vec->lanes == 0) {
-      return SolveError::kNoLanes;
     }
   }
   if (const auto* host = options.backend.get_if<HostOptions>()) {
@@ -430,9 +423,8 @@ SolveResult Solver::solve(const SolveRequest& request) const {
                          static_cast<double>(stats.threads));
       registry.gauge_set("cpu_baseline.gflops", stats.gflops);
     } else {  // advection's f32 vectorized datapath
-      kernel::run_kernel_vectorized_f32(
-          state, *request.coefficients, terms, options.kernel,
-          options.backend.get_if<VectorizedOptions>()->lanes);
+      kernel::run_kernel_vectorized_f32(state, *request.coefficients, terms,
+                                        options.kernel);
     }
   } catch (const std::exception& e) {
     // Typed instead of unwinding through Solver::submit's or a service

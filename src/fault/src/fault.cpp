@@ -135,6 +135,12 @@ bool parse_plan(const std::string& text, FaultPlan& out, std::string& error) {
     if (!have_site) {
       return fail("rule needs a site=");
     }
+    // The injector matches a trailing '*' as a prefix and anything else
+    // literally, so a '*' elsewhere would arm a rule that never fires.
+    if (rule.site.find('*') < rule.site.size() - 1) {
+      return fail("rule site=" + rule.site +
+                  ": '*' is a wildcard only as the last character");
+    }
     plan.rules.push_back(std::move(rule));
   }
   out = std::move(plan);

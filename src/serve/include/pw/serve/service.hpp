@@ -157,7 +157,9 @@ struct ServiceReport {
   std::uint64_t backend_faults = 0;     ///< kBackendFault attempt outcomes
   std::uint64_t retries = 0;            ///< backoff-then-retry sleeps taken
   std::uint64_t retry_recovered = 0;    ///< solves that succeeded on retry
-  std::uint64_t failovers = 0;          ///< degraded completions via failover
+  /// Degraded results delivered via failover: one per request, so a
+  /// failover solve shared by coalesced requests counts once for each.
+  std::uint64_t failovers = 0;
   std::uint64_t failover_failed = 0;    ///< failover attempt also faulted
   std::uint64_t breaker_opens = 0;      ///< total breaker open transitions
   std::uint64_t breaker_short_circuits = 0;  ///< solves skipped, breaker open

@@ -61,9 +61,6 @@ std::string plan_key(const grid::GridDims& dims,
   } else if (const auto* multi =
                  options.backend.get_if<api::MultiKernelOptions>()) {
     key += ":kernels=" + std::to_string(multi->kernels);
-  } else if (const auto* vec =
-                 options.backend.get_if<api::VectorizedOptions>()) {
-    key += ":lanes=" + std::to_string(vec->lanes);
   } else if (const auto* host = options.backend.get_if<api::HostOptions>()) {
     key += ":x_chunks=" + std::to_string(host->x_chunks);
     key += host->overlapped ? ",overlapped" : ",sequential";

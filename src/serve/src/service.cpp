@@ -518,10 +518,7 @@ api::SolveResult SolveService::resilient_solve(const ServeEntry& entry) {
       fallback.attempts = result.attempts + 1;
       if (fallback.error != api::SolveError::kBackendFault) {
         fallback_breaker.record_success();
-        if (fallback.ok()) {
-          fallback.degraded = true;
-          metrics_->counter_add("serve.failover.degraded");
-        }
+        fallback.degraded = fallback.ok();
         return fallback;
       }
       fallback_breaker.record_failure();
@@ -706,6 +703,11 @@ void SolveService::finish(ServeEntry& entry, api::SolveResult result,
   if (ok) {
     metrics_->counter_add("serve.requests.completed");
     metrics_->counter_add(tenant_metric(entry.tenant, "completed"));
+    if (result.degraded) {
+      // Per delivered result: requests coalesced onto a failover solve
+      // each receive its degraded answer.
+      metrics_->counter_add("serve.failover.degraded");
+    }
     metrics_->counter_add(
         std::string("serve.kernel.") +
         api::to_string(entry.request.options.kernel_spec) + ".completed");

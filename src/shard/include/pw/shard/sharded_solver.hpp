@@ -79,9 +79,10 @@ struct ShardRunReport {
 /// paper's Fig. 4 chunk-halo scheme lifted from on-chip chunks to devices),
 /// scatter interiors, exchange halos per sweep through the HaloPlan (cost
 /// modelled over per-device DMA schedulers), run the kernel's stencil pass
-/// per shard on its own engine instance, gather. Results are bit-exact with
-/// the single-device pw::api::Solver for every registered kernel and every
-/// backend, which the shard differential battery asserts.
+/// per shard on its own engine instance; the last pass writes each shard's
+/// extent of the result in place, so there is no gather. Results are
+/// bit-exact with the single-device pw::api::Solver for every registered
+/// kernel and every backend, which the shard differential battery asserts.
 ///
 /// The partition is resident, as a board keeps its fields in device memory
 /// between kernel calls: the decomposition, the linted halo plan, each

@@ -92,13 +92,14 @@ PassStats run_poisson(const grid::WindState& state,
                       const EngineConfig& config);
 
 /// One Jacobi sweep that ingests the guess's halos exactly as provided
-/// instead of imposing the Dirichlet boundary rule — the per-shard pass
-/// entry for pw::shard, whose halo-exchange layer owns the halo contents
-/// (neighbour-shard interiors at internal boundaries, the boundary rule
-/// only at true domain edges). state.u is the current guess including
-/// halos, state.v the right-hand side; the updated guess lands in out.su
-/// (out.sv and out.sw are not written). params.iterations is ignored (the caller sequences sweeps around its
-/// exchanges).
+/// instead of imposing the Dirichlet boundary rule, for a caller that owns
+/// the halo contents (a tile cut from a larger grid: neighbour interiors at
+/// internal boundaries, the boundary rule only at true domain edges).
+/// pw::shard's workers run their sweeps through run_pass directly; this
+/// entry's caller is perfbench's per-tile pass probe. state.u is the
+/// current guess including halos, state.v the right-hand side; the updated
+/// guess lands in out.su (out.sv and out.sw are not written).
+/// params.iterations is ignored (the caller sequences the sweeps).
 PassStats run_poisson_sweep(const grid::WindState& state,
                             const PoissonParams& params,
                             advect::SourceTerms& out,

@@ -87,7 +87,6 @@ TEST(BackendDifferential, VectorizedMatchesReferenceWithinF32Tolerance) {
     const api::SolveResult reference =
         solve_with(c, api::Backend::kReference);
     api::VectorizedOptions vec;
-    vec.lanes = 8;
     const api::SolveResult result = solve_with(c, vec);
     const grid::FieldD* refs[] = {&reference.terms->su, &reference.terms->sv,
                                   &reference.terms->sw};

@@ -87,6 +87,12 @@ TEST(FaultPlan, ParseRejectsMalformedLines) {
       fault::parse_plan("rule site=x kind=not_a_kind\n", plan, error));
   EXPECT_FALSE(fault::parse_plan("rule kind=stream_close\n", plan, error))
       << "a rule without a site must be rejected";
+  // Only a trailing '*' is a wildcard; a mid-site one would never fire.
+  EXPECT_FALSE(fault::parse_plan(
+      "seed 1\nrule site=shard.*.exchange kind=transfer_failure\n", plan,
+      error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("site=shard.*.exchange"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ TEST(FaultChaos, ConcurrentFaultStormNeverHangsOrCorrupts) {
   EXPECT_EQ(report.submitted, spec.requests);
   EXPECT_GT(report.backend_faults, 0u);
   EXPECT_EQ(report.completed, ok);
-  EXPECT_GE(report.failovers, degraded);
+  EXPECT_EQ(report.failovers, degraded);
 }
 
 }  // namespace

@@ -197,10 +197,6 @@ TEST(SolverApi, ZeroResourceBackendsAreRejected) {
   EXPECT_EQ(api::validate(options), api::SolveError::kNoKernelInstances);
 
   options = {};
-  options.backend = api::VectorizedOptions{.lanes = 0};
-  EXPECT_EQ(api::validate(options), api::SolveError::kNoLanes);
-
-  options = {};
   api::HostOptions host;
   host.x_chunks = 0;
   options.backend = host;

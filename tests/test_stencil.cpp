@@ -6,10 +6,11 @@
 // failover. Plus the registry derivations (lint graph, perf model, obs
 // names, fault sites) and the cache-keying regression that a cached
 // advection result is never served for a diffusion request carrying the
-// identical payload. A seeded sweep over degenerate grids (any side 1..10)
-// holds every registry kernel on every engine to its scalar reference, so
-// an off-by-one at a chunk or slab edge of the strided views shows up here
-// (and under the sanitizer builds that run the `stencil` label).
+// identical payload. A seeded sweep over degenerate grids (any side 1..10),
+// plus one full 32x64x32 grid, holds every registry kernel on every engine
+// to its scalar reference, so an off-by-one at a chunk or slab edge of the
+// strided views shows up here (and under the sanitizer builds that run the
+// `stencil` label).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -99,37 +100,40 @@ advect::PwCoefficients coefficients_for(const grid::GridDims& dims) {
       grid::Geometry::uniform(dims, 100.0, 80.0, 40.0));
 }
 
-/// Registry kernel `spec` by its scalar reference (Poisson:
-/// `poisson.iterations` sweeps).
+/// The per-kernel knobs of one registry solve: advection's coefficients,
+/// diffusion's params and Poisson's sweep count.
+struct KernelKnobs {
+  advect::PwCoefficients coefficients;
+  stencil::DiffusionParams diffusion;
+  stencil::PoissonParams poisson;
+};
+
+/// Registry kernel `spec` by its scalar reference.
 void solve_reference(const stencil::StencilSpec& spec,
-                     const grid::WindState& state,
-                     const advect::PwCoefficients& coefficients,
-                     const stencil::PoissonParams& poisson,
+                     const grid::WindState& state, const KernelKnobs& knobs,
                      advect::SourceTerms& out) {
   if (spec.name == "advect_pw") {
-    advect::advect_reference(state, coefficients, out);
+    advect::advect_reference(state, knobs.coefficients, out);
   } else if (spec.name == "diffusion") {
-    stencil::diffusion_reference(state, stencil::DiffusionParams{}, out);
+    stencil::diffusion_reference(state, knobs.diffusion, out);
   } else {
-    stencil::poisson_reference(state, poisson, out);
+    stencil::poisson_reference(state, knobs.poisson, out);
   }
 }
 
 /// Registry kernel `spec` on the stencil machine under `config`.
 stencil::PassStats solve_on_machine(const stencil::StencilSpec& spec,
                                     const grid::WindState& state,
-                                    const advect::PwCoefficients& coefficients,
-                                    const stencil::PoissonParams& poisson,
+                                    const KernelKnobs& knobs,
                                     advect::SourceTerms& out,
                                     const stencil::EngineConfig& config) {
   if (spec.name == "advect_pw") {
-    return stencil::run_advect(state, coefficients, out, config);
+    return stencil::run_advect(state, knobs.coefficients, out, config);
   }
   if (spec.name == "diffusion") {
-    return stencil::run_diffusion(state, stencil::DiffusionParams{}, out,
-                                  config);
+    return stencil::run_diffusion(state, knobs.diffusion, out, config);
   }
-  return stencil::run_poisson(state, poisson, out, config);
+  return stencil::run_poisson(state, knobs.poisson, out, config);
 }
 
 // ---------------------------------------------------------------------------
@@ -228,9 +232,8 @@ TEST(StencilMachine, FusedPassStreamsExactlyTheSpecFields) {
   // diffusion and advection. values_streamed stays per field.
   const Case c = cases().front();
   const auto state = state_for(c);
-  const advect::PwCoefficients coefficients = coefficients_for(c.dims);
-  stencil::PoissonParams poisson;
-  poisson.iterations = 1;
+  KernelKnobs knobs{coefficients_for(c.dims), {}, {}};
+  knobs.poisson.iterations = 1;
   stencil::EngineConfig config;
   config.engine = stencil::Engine::kFused;
   config.chunk_y = 4;
@@ -241,7 +244,7 @@ TEST(StencilMachine, FusedPassStreamsExactlyTheSpecFields) {
     EXPECT_EQ(spec.fields_in, fields) << spec.name;
     advect::SourceTerms out(c.dims);
     const stencil::PassStats stats =
-        solve_on_machine(spec, *state, coefficients, poisson, out, config);
+        solve_on_machine(spec, *state, knobs, out, config);
     EXPECT_EQ(stats.values_streamed, per_field) << spec.name;
     EXPECT_EQ(stats.field_values_streamed, fields * per_field) << spec.name;
     EXPECT_EQ(stats.stencils_emitted, c.dims.cells()) << spec.name;
@@ -276,38 +279,65 @@ TEST(StencilFuzz, DegenerateShapesBitExactOnEveryEngine) {
   // widths 0..ny+3 and instance / host X-chunk counts up to nx+2: every
   // registry kernel on every engine, and through api::Solver's host driver
   // with and without overlap, must bit-match its scalar reference.
+  struct Input {
+    grid::GridDims dims;
+    std::uint64_t seed;
+    stencil::EngineConfig config;
+    api::HostOptions host;
+    KernelKnobs knobs;
+  };
+  std::vector<Input> inputs;
   util::Rng rng(16);
   for (int draw = 0; draw < 32; ++draw) {
-    const grid::GridDims dims{1 + rng.next_below(10), 1 + rng.next_below(10),
-                              1 + rng.next_below(10)};
-    const std::uint64_t seed = rng.next_u64();
-    stencil::EngineConfig config;
-    config.chunk_y = rng.next_below(dims.ny + 4);
-    config.instances = 1 + rng.next_below(dims.nx + 2);
-    api::HostOptions host;
-    host.x_chunks = 1 + rng.next_below(dims.nx + 2);
-    stencil::PoissonParams poisson;
-    poisson.iterations = 1 + rng.next_below(3);
+    Input in;
+    in.dims = {1 + rng.next_below(10), 1 + rng.next_below(10),
+               1 + rng.next_below(10)};
+    in.seed = rng.next_u64();
+    in.config.chunk_y = rng.next_below(in.dims.ny + 4);
+    in.config.instances = 1 + rng.next_below(in.dims.nx + 2);
+    in.host.x_chunks = 1 + rng.next_below(in.dims.nx + 2);
+    in.knobs.coefficients = coefficients_for(in.dims);
+    in.knobs.poisson.iterations = 1 + rng.next_below(3);
+    inputs.push_back(std::move(in));
+  }
+  // One full-sized input: 32x64x32 in one full 64-wide Y-chunk, diffusion
+  // kappa 12.5 and 8 Poisson sweeps, the configuration the stencil bench's
+  // bit-exact gauge used to check on the fused engine.
+  {
+    Input in;
+    in.dims = {32, 64, 32};
+    in.seed = 2026;
+    in.config.chunk_y = 64;
+    in.knobs.coefficients = advect::PwCoefficients::from_geometry(
+        grid::Geometry::uniform(in.dims, 100.0, 100.0, 25.0));
+    in.knobs.diffusion.kappa = 12.5;
+    in.knobs.poisson.iterations = 8;
+    inputs.push_back(std::move(in));
+  }
+
+  for (std::size_t draw = 0; draw < inputs.size(); ++draw) {
+    Input& in = inputs[draw];
+    const grid::GridDims& dims = in.dims;
     SCOPED_TRACE(::testing::Message()
                  << "draw=" << draw << " dims=" << dims.nx << "x" << dims.ny
-                 << "x" << dims.nz << " chunk_y=" << config.chunk_y
-                 << " instances=" << config.instances
-                 << " x_chunks=" << host.x_chunks
-                 << " iterations=" << poisson.iterations << " seed=" << seed);
+                 << "x" << dims.nz << " chunk_y=" << in.config.chunk_y
+                 << " instances=" << in.config.instances
+                 << " x_chunks=" << in.host.x_chunks
+                 << " iterations=" << in.knobs.poisson.iterations
+                 << " seed=" << in.seed);
 
     grid::WindState state(dims);
-    grid::init_random(state, seed);
-    const advect::PwCoefficients coefficients = coefficients_for(dims);
+    grid::init_random(state, in.seed);
     for (const stencil::StencilSpec& spec : stencil::registered_stencils()) {
       advect::SourceTerms reference(dims);
-      solve_reference(spec, state, coefficients, poisson, reference);
+      solve_reference(spec, state, in.knobs, reference);
       for (const stencil::Engine engine : kAllEngines) {
-        config.engine = engine;
+        in.config.engine = engine;
         advect::SourceTerms out(dims);
         const stencil::PassStats stats =
-            solve_on_machine(spec, state, coefficients, poisson, out, config);
+            solve_on_machine(spec, state, in.knobs, out, in.config);
         const std::uint64_t sweeps =
-            spec.name == "poisson_jacobi" ? poisson.iterations : 1;
+            spec.name == "poisson_jacobi" ? in.knobs.poisson.iterations : 1;
         EXPECT_EQ(stats.cells, sweeps * dims.cells())
             << spec.name << " engine " << static_cast<int>(engine);
         expect_bit_equal(reference, out,
@@ -315,17 +345,20 @@ TEST(StencilFuzz, DegenerateShapesBitExactOnEveryEngine) {
                              std::to_string(static_cast<int>(engine)));
       }
       for (const bool overlapped : {false, true}) {
-        host.overlapped = overlapped;
+        in.host.overlapped = overlapped;
         api::SolverOptions options;
-        options.backend = host;
-        options.kernel.chunk_y = config.chunk_y;
+        options.backend = in.host;
+        options.kernel.chunk_y = in.config.chunk_y;
         if (spec.name == "poisson_jacobi") {
-          options.kernel_spec = poisson;
+          options.kernel_spec = in.knobs.poisson;
+        } else if (spec.name == "diffusion") {
+          options.kernel_spec = in.knobs.diffusion;
         } else {
           options.kernel_spec = *api::parse_kernel(spec.name);
         }
-        const api::SolveResult result = api::Solver(options).solve(
-            api::borrow_request(state, coefficients, options));
+        const api::SolveResult result =
+            api::Solver(options).solve(api::borrow_request(
+                state, in.knobs.coefficients, options));
         const std::string label =
             spec.name + (overlapped ? " host overlapped" : " host sequential");
         ASSERT_TRUE(result.ok()) << label << ": " << result.message;
