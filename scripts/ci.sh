@@ -56,9 +56,11 @@
 #                              shard label adds the sharded solver's halo
 #                              pull lists (element offsets, negative on the
 #                              west and south faces, applied concurrently by
-#                              every worker) and the decomposition, fuzz and
-#                              integration suites that shard. Also skipped
-#                              with PW_CI_SKIP_SANITIZERS=1.
+#                              every worker), the decomposition, fuzz and
+#                              integration suites that shard, and two
+#                              pwserve --shards=4 replays (one kills a
+#                              device). Also skipped with
+#                              PW_CI_SKIP_SANITIZERS=1.
 #   5. tsan: serve + fault     TSan build (build-tsan/) + ctest -R '^Serve',
 #        + streams + stencil   ctest -L fault, -L streams, -L stencil,
 #        + shard + qos         -L shard and -L qos — the serving layer is the repo's
@@ -79,9 +81,11 @@
 #                              caller's fields), and the
 #                              shard label runs one resident worker per
 #                              simulated device (including the chaos test
-#                              that kills a whole shard mid-solve, and the
+#                              that kills a whole shard mid-solve, the
 #                              decomposition, fuzz and integration suites
-#                              that shard over up to 144 devices), and the
+#                              that shard over up to 144 devices, and the
+#                              pwserve replays through a sharded
+#                              SolveService), and the
 #                              qos label races the WFQ/EDF schedulers, the
 #                              tiered result cache and the quota-shed path
 #                              under concurrent submitters. Also skipped
@@ -147,7 +151,7 @@ cmake --build build-ubsan -j "$JOBS" --target \
   test_stream_fabric test_fault test_fault_chaos \
   test_backend_differential test_stencil test_check \
   test_shift_buffer test_kernel_equivalence test_precision test_vectorized \
-  test_ocl test_shard test_decomp test_fuzz_more test_integration
+  test_ocl test_shard test_decomp test_fuzz_more test_integration pwserve
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L streams
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
@@ -167,7 +171,7 @@ cmake --build build-tsan -j "$JOBS" --target \
   test_fault test_fault_chaos test_backend_differential test_stencil \
   test_shard test_decomp test_fuzz_more test_integration test_qos \
   test_shift_buffer test_kernel_equivalence test_precision test_vectorized \
-  test_ocl
+  test_ocl pwserve
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R '^Serve'
 TSAN_OPTIONS=halt_on_error=1 \

@@ -122,7 +122,7 @@ inline SolveRequest borrow_request(
 
 /// The one request check, run by every solve entry point before any device
 /// does work: Solver::solve (so also Solver::submit), serve::SolveService
-/// and shard::ShardedSolveService admission, and shard::ShardedSolver::solve.
+/// admission (single-device or sharded), and shard::ShardedSolver::solve.
 /// Rejects a request with no state, an advection request with no
 /// coefficients or with a coefficient vector whose length is not nz,
 /// options validate() refuses for the grid, and fields whose halo is not 1.

@@ -20,6 +20,7 @@
 #include "pw/serve/plan_cache.hpp"
 #include "pw/serve/sched.hpp"
 #include "pw/serve/tiered_cache.hpp"
+#include "pw/shard/sharded_solver.hpp"
 #include "pw/util/rng.hpp"
 #include "pw/util/table.hpp"
 #include "pw/util/thread_pool.hpp"
@@ -122,6 +123,15 @@ struct ServiceConfig {
 
   /// External metrics sink; the service owns a private registry when null.
   obs::MetricsRegistry* metrics = nullptr;
+
+  /// Sharded serving: when set, every solve attempt (failover included)
+  /// runs on one resident shard::ShardedSolver built from these options,
+  /// one solve at a time, instead of a single-device api::Solver.
+  /// Admission, scheduling, deadlines, cancellation, the resilience ladder
+  /// and the result cache work as for single-device solves. A device death
+  /// inside a solve is the solver's own failover: the re-partitioned answer
+  /// keeps the requested backend and is cached like any other.
+  std::optional<pw::shard::ShardOptions> shard;
 };
 
 /// One per-tenant row of a ServiceReport, keyed by normalised tenant name
@@ -157,8 +167,9 @@ struct ServiceReport {
   std::uint64_t backend_faults = 0;     ///< kBackendFault attempt outcomes
   std::uint64_t retries = 0;            ///< backoff-then-retry sleeps taken
   std::uint64_t retry_recovered = 0;    ///< solves that succeeded on retry
-  /// Degraded results delivered via failover: one per request, so a
-  /// failover solve shared by coalesced requests counts once for each.
+  /// Degraded results delivered (a failover, or a sharded solve over the
+  /// survivors of a device death): one per request, so a degraded answer
+  /// shared by coalesced requests or cache hits counts once for each.
   std::uint64_t failovers = 0;
   std::uint64_t failover_failed = 0;    ///< failover attempt also faulted
   std::uint64_t breaker_opens = 0;      ///< total breaker open transitions
@@ -198,8 +209,9 @@ struct ServeEntry {
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
-/// An asynchronous, batching solve service over pw::api::Solver —
-/// the multi-tenant front door the blocking facade cannot be.
+/// An asynchronous, batching solve service over pw::api::Solver, or over
+/// one resident shard::ShardedSolver when ServiceConfig::shard is set —
+/// the one multi-tenant front door for single-device and sharded solves.
 ///
 ///   submit(request) --admission--> scheduler --dispatcher--> batches
 ///        |                (FIFO | EDF | WFQ)                  |
@@ -217,7 +229,9 @@ struct ServeEntry {
 /// cancellation and per-request deadlines, serve identical requests from
 /// the bounded two-tier result cache (single-flight coalesced), and
 /// report queue depth / batch size / per-tenant latency percentiles /
-/// cache curves / aggregate GFLOPS through pw::obs.
+/// cache curves / aggregate GFLOPS through pw::obs. Sharded, the workers
+/// take turns on the one solver (the whole device set cooperates on each
+/// solve); everything before and after the solve is shared code.
 class SolveService {
  public:
   explicit SolveService(ServiceConfig config = {});
@@ -257,6 +271,10 @@ class SolveService {
   }
   /// The bounded result cache's counters; nullopt when disabled.
   std::optional<TieredCacheStats> cache_stats() const;
+  /// The resident sharded solver; null unless ServiceConfig::shard is set.
+  /// Its solves run on the service's workers, so read its report and dead
+  /// devices while no request runs (after drain()).
+  shard::ShardedSolver* sharded_solver() noexcept { return sharded_.get(); }
 
  private:
   void dispatcher_loop();
@@ -267,7 +285,8 @@ class SolveService {
   util::ThreadPool& pool_for(api::Backend backend);
   fault::CircuitBreaker& breaker_for(api::Backend backend);
   /// One solve attempt on `backend` (the entry's request with the backend
-  /// swapped in). Consults the "serve.solve.<backend>" fault site first.
+  /// swapped in), on the sharded solver when there is one. Consults the
+  /// "serve.solve.<backend>" fault site first.
   api::SolveResult attempt_solve(const ServeEntry& entry,
                                  const api::BackendSpec& backend);
   /// The full resilience ladder: breaker gate -> retry with backoff ->
@@ -285,6 +304,8 @@ class SolveService {
   FingerprintCache fingerprints_;
   std::unique_ptr<sched::Scheduler<ServeEntry>> queue_;
   std::unique_ptr<TieredResultCache> cache_;
+  std::unique_ptr<shard::ShardedSolver> sharded_;
+  std::mutex shard_mutex_;  ///< one sharded solve at a time
   util::WallTimer uptime_;
 
   mutable std::mutex mutex_;  // pools, coalescing, pending bookkeeping

@@ -222,6 +222,9 @@ SolveService::SolveService(ServiceConfig config)
     cache_ = std::make_unique<TieredResultCache>(cache_config(config_),
                                                  metrics_);
   }
+  if (config_.shard) {
+    sharded_ = std::make_unique<shard::ShardedSolver>(*config_.shard);
+  }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -438,8 +441,13 @@ api::SolveResult SolveService::attempt_solve(const ServeEntry& entry,
   }
   api::SolveRequest request = entry.request;
   request.options.backend = backend;
-  const api::Solver solver(request.options);
-  api::SolveResult result = solver.solve(request);
+  api::SolveResult result;
+  if (sharded_) {
+    std::lock_guard lock(shard_mutex_);
+    result = sharded_->solve(request);
+  } else {
+    result = api::Solver(request.options).solve(request);
+  }
   metrics_->counter_add("serve.computed");
   return result;
 }
@@ -658,13 +666,18 @@ void SolveService::run_batch(std::vector<ServeEntry>& batch) {
 
     api::SolveResult result = resilient_solve(entry);
 
+    // The cache only memoises what the *requested* backend computed, so a
+    // recovered backend is not shadowed by stale failover answers. A
+    // sharded re-partition keeps the backend (bit-exact over the
+    // survivors) and is cached; a failover to another backend is served
+    // but not cached.
+    const bool cacheable =
+        result.ok() &&
+        result.backend == entry.request.options.backend.backend();
     std::vector<ServeEntry> waiters;
     if (config_.result_cache) {
       std::lock_guard lock(mutex_);
-      // Degraded results are served but never cached: the cache must only
-      // memoise what the *requested* backend computed, so a recovered
-      // backend is not shadowed by stale failover answers.
-      if (result.error == api::SolveError::kNone && !result.degraded) {
+      if (cacheable) {
         cache_->put(entry.fingerprint,
                     std::make_shared<const api::SolveResult>(result));
       }
@@ -675,16 +688,15 @@ void SolveService::run_batch(std::vector<ServeEntry>& batch) {
       }
     }
     // Waiters ride on this compute: same payloads, same deterministic
-    // answer. An error propagates to them too — typed, but not counted (or
-    // flagged) as a cache hit, since nothing was cached.
-    const bool compute_ok = result.error == api::SolveError::kNone;
+    // answer. An uncacheable answer (an error, a failover) reaches them
+    // too, but is not flagged or counted as a cache hit.
     for (ServeEntry& waiter : waiters) {
-      if (compute_ok) {
+      if (cacheable) {
         metrics_->counter_add("serve.cache.hits");
         metrics_->counter_add("serve.cache.coalesced");
       }
       api::SolveResult shared_result = result;
-      shared_result.cached = compute_ok;
+      shared_result.cached = cacheable;
       finish(waiter, std::move(shared_result));
     }
     finish(entry, std::move(result));
@@ -704,8 +716,8 @@ void SolveService::finish(ServeEntry& entry, api::SolveResult result,
     metrics_->counter_add("serve.requests.completed");
     metrics_->counter_add(tenant_metric(entry.tenant, "completed"));
     if (result.degraded) {
-      // Per delivered result: requests coalesced onto a failover solve
-      // each receive its degraded answer.
+      // Per delivered result: requests coalesced onto a degraded solve, or
+      // served a cached re-partitioned answer, each receive it degraded.
       metrics_->counter_add("serve.failover.degraded");
     }
     metrics_->counter_add(

@@ -8,7 +8,9 @@
 //      final service counters across runs;
 //   3. probabilistic fault storms under full worker concurrency never hang,
 //      leak (ASan) or race (TSan) — every future completes with ok or a
-//      typed error.
+//      typed error;
+//   4. a failover answer is never cached, and never flagged or counted as
+//      a cache hit, even when coalesced requests share it.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -191,6 +193,8 @@ TEST(FaultChaos, ConcurrentFaultStormNeverHangsOrCorrupts) {
       ++ok;
       degraded += result.degraded ? 1 : 0;
       ASSERT_NE(result.terms, nullptr) << i;
+      // A failover answer is never cached, so it is never flagged as a hit.
+      EXPECT_FALSE(result.degraded && result.cached) << i;
     } else {
       // The only typed error a fault storm may surface on deadline-free
       // requests: both the primary and the failover faulted.
@@ -208,6 +212,44 @@ TEST(FaultChaos, ConcurrentFaultStormNeverHangsOrCorrupts) {
   EXPECT_GT(report.backend_faults, 0u);
   EXPECT_EQ(report.completed, ok);
   EXPECT_EQ(report.failovers, degraded);
+}
+
+TEST(FaultChaos, FailoverAnswerSharedWithACoalescedRequestIsNotAHit) {
+  // Two identical requests on two workers: one claims the fingerprint and
+  // fails over (its primary always faults, and the failover attempt is
+  // slowed), the other coalesces onto that solve. Both get the degraded
+  // answer; nothing was cached, so neither is flagged or counted a hit.
+  fault::FaultInjector injector(plan_from(
+      "seed 5\n"
+      "rule site=serve.solve.fused kind=transfer_failure count=inf\n"
+      "rule site=serve.solve.cpu_baseline kind=spurious_latency "
+      "latency_ms=100 count=inf\n"));
+  fault::ScopedArm arm(injector);
+
+  serve::ServiceConfig config;
+  config.workers_per_backend = 2;
+  config.max_batch = 1;
+  config.retry.max_attempts = 1;
+  serve::SolveService service(config);
+
+  serve::TraceSpec spec;
+  spec.requests = 1;
+  spec.backends = {api::Backend::kFused};
+  spec.shapes = {{16, 16, 16}};
+  const api::SolveRequest request = serve::make_trace(spec).front();
+  std::vector<api::SolveFuture> futures =
+      service.submit_all({request, request});
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_TRUE(futures[i].wait_for(60s)) << "future " << i << " hung";
+    const api::SolveResult& result = futures[i].result();
+    ASSERT_TRUE(result.ok()) << i << ": " << result.message;
+    EXPECT_TRUE(result.degraded) << i;
+    EXPECT_FALSE(result.cached) << i;
+  }
+  service.shutdown();
+  const serve::ServiceReport report = service.report();
+  EXPECT_EQ(report.result_cache_hits, 0u);
+  EXPECT_EQ(report.failovers, 2u);
 }
 
 }  // namespace

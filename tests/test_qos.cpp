@@ -30,7 +30,6 @@
 #include "pw/serve/tiered_cache.hpp"
 #include "pw/serve/trace.hpp"
 #include "pw/serve/traffic.hpp"
-#include "pw/shard/service.hpp"
 
 namespace {
 
@@ -755,6 +754,23 @@ TEST(QosService, ReportCarriesSortedTenantRowsAndStableJson) {
   EXPECT_NE(json.find("\"unfair_sheds\":0"), std::string::npos);
 }
 
+/// About 1M cells through the single-threaded CPU baseline: a solve long
+/// enough to pin a lone worker while a test fills the queue behind it.
+api::SolveRequest pinning_request() {
+  const grid::GridDims big{128, 128, 64};
+  auto state = std::make_shared<grid::WindState>(big);
+  grid::init_random(*state, 3);
+  auto coefficients = std::make_shared<const advect::PwCoefficients>(
+      advect::PwCoefficients::from_geometry(
+          grid::Geometry::uniform(big, 100.0, 100.0, 50.0)));
+  api::SolverOptions options;
+  options.backend = api::CpuBaselineOptions{.threads = 1};
+  options.kernel.chunk_y = 8;
+  api::SolveRequest pin = api::make_request(state, coefficients, options);
+  pin.tenant = "pinner";
+  return pin;
+}
+
 TEST(QosService, QuotaShedCompletesTheVictimTyped) {
   serve::ServiceConfig config;
   config.scheduler = serve::sched::Policy::kWeightedFair;
@@ -769,19 +785,7 @@ TEST(QosService, QuotaShedCompletesTheVictimTyped) {
   serve::SolveService service(config);
 
   // Pin the lone worker, then fill the queue with one hog's requests.
-  const grid::GridDims big{128, 128, 64};
-  auto big_state = std::make_shared<grid::WindState>(big);
-  grid::init_random(*big_state, 3);
-  auto big_coefficients = std::make_shared<const advect::PwCoefficients>(
-      advect::PwCoefficients::from_geometry(
-          grid::Geometry::uniform(big, 100.0, 100.0, 50.0)));
-  api::SolverOptions slow_options;
-  slow_options.backend = api::CpuBaselineOptions{.threads = 1};
-  slow_options.kernel.chunk_y = 8;
-  api::SolveRequest pin = api::make_request(big_state, big_coefficients,
-                                            slow_options);
-  pin.tenant = "pinner";
-  api::SolveFuture slow = service.submit(std::move(pin));
+  api::SolveFuture slow = service.submit(pinning_request());
   while (service.metrics().histogram("serve.batch.size").count < 1) {
     std::this_thread::sleep_for(1ms);
   }
@@ -836,14 +840,20 @@ TEST(QosService, QuotaShedCompletesTheVictimTyped) {
 }
 
 // ---------------------------------------------------------------------------
-// sharded service: admission routes through the same scheduler machinery
+// sharded serving: the same scheduler machinery in front of a ShardedSolver
+
+serve::ServiceConfig sharded_wfq_config(std::size_t devices) {
+  serve::ServiceConfig config;
+  config.shard.emplace();
+  config.shard->devices = devices;
+  config.scheduler = serve::sched::Policy::kWeightedFair;
+  return config;
+}
 
 TEST(QosShard, SubmitAllRoutesThroughTheSchedulerBitExact) {
-  shard::ShardServiceConfig config;
-  config.shard.devices = 2;
-  config.sched.policy = serve::sched::Policy::kWeightedFair;
-  config.sched.capacity = 16;
-  shard::ShardedSolveService sharded(config);
+  serve::ServiceConfig config = sharded_wfq_config(2);
+  config.queue_capacity = 16;
+  serve::SolveService sharded(config);
   EXPECT_EQ(sharded.scheduler().policy(),
             serve::sched::Policy::kWeightedFair);
 
@@ -852,42 +862,53 @@ TEST(QosShard, SubmitAllRoutesThroughTheSchedulerBitExact) {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     trace[i].tenant = i % 2 == 0 ? "even" : "odd";
   }
-  const std::vector<api::SolveResult> results =
+  std::vector<api::SolveFuture> futures =
       sharded.submit_all(std::vector<api::SolveRequest>(trace));
-  ASSERT_EQ(results.size(), trace.size());
+  ASSERT_EQ(futures.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    expect_matches_direct(trace[i], results[i], i);
+    expect_matches_direct(trace[i], futures[i].wait(), i);
   }
-  const shard::ShardServiceReport report = sharded.report();
+  const serve::ServiceReport report = sharded.report();
   EXPECT_EQ(report.submitted, trace.size());
-  EXPECT_EQ(report.shed, 0u);
-  EXPECT_EQ(sharded.scheduler().audit().unfair_sheds, 0u);
+  EXPECT_EQ(report.completed, trace.size());
+  EXPECT_EQ(report.shed_quota, 0u);
+  EXPECT_EQ(report.sheds_unfair, 0u);
+  EXPECT_EQ(sharded.sharded_solver()->dead_devices(), 0u);
 }
 
 TEST(QosShard, QuotaShedsSurfaceAsTypedQueueFull) {
-  shard::ShardServiceConfig config;
-  config.shard.devices = 1;
-  config.sched.policy = serve::sched::Policy::kWeightedFair;
-  config.sched.capacity = 2;
-  config.sched.quotas["hog"] = {1.0, 1};  // hard cap: one queued at a time
-  shard::ShardedSolveService sharded(config);
+  serve::ServiceConfig config = sharded_wfq_config(2);
+  config.queue_capacity = 2;
+  config.workers_per_backend = 1;
+  config.max_batch = 1;  // in-flight cap 1: the queue is the only buffer
+  config.result_cache = false;
+  config.tenant_quotas["hog"] = {1.0, 1};  // hard cap: one queued at a time
+  serve::SolveService sharded(config);
+
+  // Pin the lone worker on a long sharded solve, so the batch below queues.
+  api::SolveFuture slow = sharded.submit(pinning_request());
+  while (sharded.metrics().histogram("serve.batch.size").count < 1) {
+    std::this_thread::sleep_for(1ms);
+  }
 
   std::vector<api::SolveRequest> batch = referee_trace();
   batch.resize(3);
   batch[0].tenant = "hog";
   batch[1].tenant = "hog";
   batch[2].tenant = "compliant";
-  const std::vector<api::SolveResult> results =
-      sharded.submit_all(std::move(batch));
-  ASSERT_EQ(results.size(), 3u);
+  std::vector<api::SolveFuture> futures = sharded.submit_all(std::move(batch));
+  ASSERT_EQ(futures.size(), 3u);
   // The compliant arrival at the full 2-slot queue evicts the hog's newest
   // queued request (the hog sits above its hard cap of 1).
-  EXPECT_TRUE(results[0].ok()) << results[0].message;
-  EXPECT_EQ(results[1].error, api::SolveError::kQueueFull);
-  EXPECT_NE(results[1].message.find("shed by quota"), std::string::npos);
-  EXPECT_TRUE(results[2].ok()) << results[2].message;
-  EXPECT_EQ(sharded.report().shed, 1u);
-  EXPECT_EQ(sharded.scheduler().audit().unfair_sheds, 0u);
+  EXPECT_TRUE(futures[0].wait().ok()) << futures[0].result().message;
+  EXPECT_EQ(futures[1].wait().error, api::SolveError::kQueueFull);
+  EXPECT_NE(futures[1].result().message.find("shed by quota"),
+            std::string::npos);
+  EXPECT_TRUE(futures[2].wait().ok()) << futures[2].result().message;
+  EXPECT_TRUE(slow.wait().ok());
+  const serve::ServiceReport report = sharded.report();
+  EXPECT_EQ(report.shed_quota, 1u);
+  EXPECT_EQ(report.sheds_unfair, 0u);
 }
 
 }  // namespace

@@ -175,20 +175,28 @@ TEST(ServeService, BackpressureReturnsQueueFull) {
 }
 
 TEST(ServeService, QueuedDeadlineExpiresAsTypedError) {
-  serve::ServiceConfig config;
-  config.workers_per_backend = 1;
-  config.max_batch = 1;
-  serve::SolveService service(config);
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded over 4 devices" : "single device");
+    serve::ServiceConfig config;
+    config.workers_per_backend = 1;
+    config.max_batch = 1;
+    if (sharded) {
+      config.shard.emplace();
+      config.shard->devices = 4;
+    }
+    serve::SolveService service(config);
 
-  api::SolveFuture slow = service.submit(slow_request());
-  wait_for_batches(service, 1);
+    api::SolveFuture slow = service.submit(slow_request());
+    wait_for_batches(service, 1);
 
-  api::SolveRequest doomed = small_request();
-  doomed.timeout = 1ns;  // expires while queued behind the slow solve
-  const api::SolveResult result = service.submit(doomed).wait();
-  EXPECT_EQ(result.error, api::SolveError::kDeadlineExceeded);
-  EXPECT_TRUE(slow.wait().ok());
-  EXPECT_EQ(service.report().deadline_exceeded, 1u);
+    api::SolveRequest doomed = small_request();
+    doomed.timeout = 1ns;  // expires while queued behind the slow solve
+    const api::SolveResult result = service.submit(doomed).wait();
+    EXPECT_EQ(result.error, api::SolveError::kDeadlineExceeded);
+    EXPECT_TRUE(slow.wait().ok());
+    EXPECT_EQ(service.report().deadline_exceeded, 1u);
+    EXPECT_EQ(service.report().computed, 1u);  // the doomed one never ran
+  }
 }
 
 TEST(ServeService, CancelBeforeRunCompletesWithCancelled) {

@@ -165,13 +165,8 @@ TEST(ServeStress, FingerprintMemoStaysHardCappedUnderLivePayloads) {
 TEST(ServeStress, ResultCachePeakBytesNeverExceedsTheCap) {
   // Distinct payloads force continual insertions; the tiered cache's byte
   // cap must hold at the peak (evict-before-insert), not just at rest —
-  // the pre-QoS unbounded result map would fail this immediately.
-  serve::ServiceConfig config;
-  config.workers_per_backend = 2;
-  config.result_cache_capacity = 64;
-  config.result_cache_bytes = 256u << 10;  // ~3 resident 12^3 results
-  serve::SolveService service(config);
-
+  // the pre-QoS unbounded result map would fail this immediately. Sharded
+  // answers go through the same cache.
   serve::TraceSpec spec;
   spec.requests = 48;
   spec.repeat_fraction = 0.0;
@@ -179,31 +174,44 @@ TEST(ServeStress, ResultCachePeakBytesNeverExceedsTheCap) {
   spec.backends = {api::Backend::kFused};
   const auto trace = serve::make_trace(spec);
 
-  constexpr std::size_t kThreads = 4;
-  std::atomic<std::size_t> ok_count{0};
-  std::vector<std::thread> submitters;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&, t] {
-      for (std::size_t i = t; i < trace.size(); i += kThreads) {
-        if (service.submit(trace[i]).wait().ok()) {
-          ok_count.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& thread : submitters) {
-    thread.join();
-  }
-  EXPECT_EQ(ok_count.load(), trace.size());
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded over 4 devices" : "single device");
+    serve::ServiceConfig config;
+    config.workers_per_backend = 2;
+    config.result_cache_capacity = 64;
+    config.result_cache_bytes = 256u << 10;  // ~3 resident 12^3 results
+    if (sharded) {
+      config.shard.emplace();
+      config.shard->devices = 4;
+    }
+    serve::SolveService service(config);
 
-  const auto stats = service.cache_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->byte_cap, config.result_cache_bytes);
-  EXPECT_LE(stats->peak_bytes, stats->byte_cap);
-  EXPECT_LE(stats->bytes, stats->byte_cap);
-  EXPECT_GT(stats->evictions, 0u);  // the cap actually bit
-  const serve::ServiceReport report = service.report();
-  EXPECT_LE(report.cache_peak_bytes, report.cache_byte_cap);
+    constexpr std::size_t kThreads = 4;
+    std::atomic<std::size_t> ok_count{0};
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        for (std::size_t i = t; i < trace.size(); i += kThreads) {
+          if (service.submit(trace[i]).wait().ok()) {
+            ok_count.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& thread : submitters) {
+      thread.join();
+    }
+    EXPECT_EQ(ok_count.load(), trace.size());
+
+    const auto stats = service.cache_stats();
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->byte_cap, config.result_cache_bytes);
+    EXPECT_LE(stats->peak_bytes, stats->byte_cap);
+    EXPECT_LE(stats->bytes, stats->byte_cap);
+    EXPECT_GT(stats->evictions, 0u);  // the cap actually bit
+    const serve::ServiceReport report = service.report();
+    EXPECT_LE(report.cache_peak_bytes, report.cache_byte_cap);
+  }
 }
 
 TEST(ServeStress, ThreadPoolSubmitFromManyThreads) {

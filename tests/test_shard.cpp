@@ -2,8 +2,7 @@
 // with the single-device facade for every registered kernel at every shard
 // count — fault-free AND while a fault plan kills a whole simulated device
 // mid-solve (correct answer, flagged degraded). Plus the exchange cost
-// model, the exchange-graph lint, consistent-hash placement and the
-// sharded routing service.
+// model, the exchange-graph lint and a SolveService serving sharded solves.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,7 +24,6 @@
 #include "pw/grid/compare.hpp"
 #include "pw/grid/init.hpp"
 #include "pw/serve/service.hpp"
-#include "pw/shard/service.hpp"
 #include "pw/shard/sharded_solver.hpp"
 #include "pw/shard/topology.hpp"
 #include "pw/stencil/advect.hpp"
@@ -524,76 +521,42 @@ TEST(HaloArity, SolverExchangesOnlyWrittenFields) {
 }
 
 // ---------------------------------------------------------------------------
-// Consistent-hash placement.
+// Sharded serving: a SolveService whose every solve runs on one resident
+// ShardedSolver, behind the service's admission, scheduler and cache.
 
-TEST(HashRing, RemovalOnlyMigratesTheDeadDevicesKeys) {
-  shard::HashRing ring(32);
-  for (std::size_t device = 0; device < 4; ++device) {
-    ring.add(device);
-  }
-  std::map<std::uint64_t, std::size_t> before;
-  for (std::uint64_t key = 0; key < 512; ++key) {
-    before[key * 0x9e3779b97f4a7c15ull] =
-        ring.place(key * 0x9e3779b97f4a7c15ull);
-  }
-  ring.remove(2);
-  std::size_t moved = 0;
-  for (const auto& [key, device] : before) {
-    const std::size_t now = ring.place(key);
-    EXPECT_NE(now, 2u);
-    if (device != 2 && now != device) {
-      ++moved;  // a key not homed on the dead device must not move
-    }
-  }
-  EXPECT_EQ(moved, 0u);
-  EXPECT_EQ(ring.size(), 3u);
+serve::ServiceConfig sharded_config(std::size_t devices) {
+  serve::ServiceConfig config;
+  config.shard.emplace();
+  config.shard->devices = devices;
+  return config;
 }
 
-TEST(HashRing, CoversAllDevices) {
-  shard::HashRing ring(32);
-  for (std::size_t device = 0; device < 7; ++device) {
-    ring.add(device);
-  }
-  std::set<std::size_t> seen;
-  for (std::uint64_t key = 0; key < 4096; ++key) {
-    seen.insert(ring.place(key * 0x9e3779b97f4a7c15ull + 17));
-  }
-  EXPECT_EQ(seen.size(), 7u);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded routing service.
-
-TEST(ShardService, IdenticalRequestHitsHomeDeviceCache) {
-  shard::ShardServiceConfig config;
-  config.shard.devices = 4;
-  shard::ShardedSolveService service(config);
+TEST(ShardService, IdenticalRequestHitsTheServiceCache) {
+  serve::SolveService service(sharded_config(4));
   const Fixture f;
   const api::SolveRequest request =
       request_for(f, api::Kernel::kDiffusion, api::Backend::kFused);
 
-  const api::SolveResult first = service.submit(request);
+  const api::SolveResult first = service.submit(request).wait();
   ASSERT_TRUE(first.ok()) << first.message;
   EXPECT_FALSE(first.cached);
-  const api::SolveResult second = service.submit(request);
+  expect_bit_exact(api::Solver().solve(request), first);
+  const api::SolveResult second = service.submit(request).wait();
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.cached);
   expect_bit_exact(first, second);
 
-  const shard::ShardServiceReport report = service.report();
+  const serve::ServiceReport report = service.report();
   EXPECT_EQ(report.submitted, 2u);
   EXPECT_EQ(report.computed, 1u);
-  EXPECT_EQ(report.cache_hits, 1u);
-  const std::size_t home = service.home_of(request);
-  ASSERT_NE(home, shard::ShardedSolveService::kNoHome);
-  EXPECT_EQ(report.devices[home].cache_hits, 1u);
-  EXPECT_EQ(report.devices[home].cached_entries, 1u);
+  EXPECT_EQ(report.result_cache_hits, 1u);
+  EXPECT_EQ(service.sharded_solver()->last_report().devices_used, 4u);
 }
 
 TEST(ShardService, DeviceDeathMigratesPlacementAndFlagsDegraded) {
-  shard::ShardServiceConfig config;
-  config.shard.devices = 4;
-  shard::ShardedSolveService service(config);
+  // The solve that loses device 1 re-partitions over the survivors. Its
+  // answer ran the requested backend, so it is cached like any other.
+  serve::SolveService service(sharded_config(4));
   const Fixture f;
   const api::SolveRequest request =
       request_for(f, api::Kernel::kDiffusion, api::Backend::kFused);
@@ -603,48 +566,42 @@ TEST(ShardService, DeviceDeathMigratesPlacementAndFlagsDegraded) {
   api::SolveResult result;
   {
     fault::ScopedArm arm(injector);
-    result = service.submit(request);
+    result = service.submit(request).wait();
   }
   expect_bit_exact(single, result);
   EXPECT_TRUE(result.degraded);
+  EXPECT_FALSE(result.cached);
+  shard::ShardedSolver& solver = *service.sharded_solver();
+  EXPECT_EQ(solver.dead_devices(), 1u);
+  EXPECT_EQ(solver.metrics().counter("shard.1.faults"), 1u);
+  EXPECT_EQ(solver.last_report().devices_used, 3u);
 
-  const shard::ShardServiceReport report = service.report();
-  EXPECT_FALSE(report.devices[1].alive);
-  EXPECT_EQ(report.devices[1].cached_entries, 0u);
-  EXPECT_EQ(report.failovers, 1u);
-  EXPECT_EQ(report.degraded, 1u);
-  EXPECT_NE(service.home_of(request), 1u);
-
-  // Subsequent identical request: served (possibly from the migrated
-  // home's cache), still correct.
-  const api::SolveResult again = service.submit(request);
+  // The next identical request: a bit-exact hit on that answer.
+  const api::SolveResult again = service.submit(request).wait();
   expect_bit_exact(single, again);
+  EXPECT_TRUE(again.cached);
+  const serve::ServiceReport report = service.report();
+  EXPECT_EQ(report.computed, 1u);
+  EXPECT_EQ(report.result_cache_hits, 1u);
+  EXPECT_EQ(report.failovers, 2u);  // each degraded answer delivered
+  EXPECT_EQ(solver.metrics().counter("shard.deaths"), 1u);
 }
 
 TEST(ShardService, RejectsRequestsWithoutState) {
-  shard::ShardedSolveService service;
-  const api::SolveResult result = service.submit(api::SolveRequest{});
+  serve::SolveService service(sharded_config(2));
+  const api::SolveResult result = service.submit(api::SolveRequest{}).wait();
   EXPECT_EQ(result.error, api::SolveError::kEmptyGrid);
-  EXPECT_EQ(service.report().rejected, 1u);
-}
-
-TEST(ShardService, TableRendersOneRowPerDevice) {
-  shard::ShardServiceConfig config;
-  config.shard.devices = 3;
-  shard::ShardedSolveService service(config);
-  const util::Table table = shard::to_table(service.report());
-  EXPECT_EQ(table.rows(), 4u);  // 3 devices + totals
+  EXPECT_EQ(service.report().rejected_options, 1u);
+  EXPECT_EQ(service.report().computed, 0u);
 }
 
 TEST(ShardService, ConcurrentSubmittersAreSerialised) {
-  // Every cache miss runs on the one shared ShardedSolver; its solves must
-  // not interleave, whichever thread submits them.
+  // Every solve runs on the one shared ShardedSolver; its solves must not
+  // interleave, whichever worker runs them.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 30;
   const grid::GridDims dims{48, 48, 16};
-  shard::ShardServiceConfig config;
-  config.shard.devices = 4;
-  shard::ShardedSolveService service(config);
+  serve::SolveService service(sharded_config(4));
 
   // Distinct seeded inputs, so every submission misses the cache.
   std::vector<api::SolveRequest> requests;
@@ -672,7 +629,7 @@ TEST(ShardService, ConcurrentSubmittersAreSerialised) {
     submitters.emplace_back([&, t] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
         const std::size_t n = i * kThreads + t;
-        results[n] = service.submit(requests[n]);
+        results[n] = service.submit(requests[n]).wait();
       }
     });
   }
@@ -685,7 +642,7 @@ TEST(ShardService, ConcurrentSubmittersAreSerialised) {
     EXPECT_FALSE(results[n].degraded);
   }
   EXPECT_EQ(service.report().computed, requests.size());
-  EXPECT_EQ(service.solver().dead_devices(), 0u);
+  EXPECT_EQ(service.sharded_solver()->dead_devices(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -865,14 +822,14 @@ TEST(ShardHandoff, NonFaultExceptionIsInternalAndKillsNoDevice) {
         request_for(f, kernel, api::Backend::kFused);
     const api::SolveResult single = api::Solver().solve(request);
     shard::ShardedSolver solver(options);
-    shard::ShardServiceConfig config;
+    serve::ServiceConfig config;
     config.shard = options;
-    shard::ShardedSolveService service(config);
+    serve::SolveService service(config);
 
     armed = true;
     api::SolveResult direct;
     EXPECT_NO_THROW(direct = solver.solve(request));
-    const api::SolveResult served = service.submit(request);
+    const api::SolveResult served = service.submit(request).wait();
     for (const api::SolveResult* failed :
          std::initializer_list<const api::SolveResult*>{&direct, &served}) {
       EXPECT_EQ(failed->error, api::SolveError::kInternal);
@@ -881,8 +838,8 @@ TEST(ShardHandoff, NonFaultExceptionIsInternalAndKillsNoDevice) {
       EXPECT_EQ(failed->terms, nullptr);
     }
     for (shard::ShardedSolver* used :
-         std::initializer_list<shard::ShardedSolver*>{&solver,
-                                                      &service.solver()}) {
+         std::initializer_list<shard::ShardedSolver*>{
+             &solver, service.sharded_solver()}) {
       EXPECT_EQ(used->dead_devices(), 0u);
       EXPECT_EQ(used->last_report().repartitions, 0u);
       EXPECT_EQ(partitions_built(*used), 1u);
@@ -891,7 +848,7 @@ TEST(ShardHandoff, NonFaultExceptionIsInternalAndKillsNoDevice) {
 
     armed = false;
     const api::SolveResult direct_again = solver.solve(request);
-    const api::SolveResult served_again = service.submit(request);
+    const api::SolveResult served_again = service.submit(request).wait();
     for (const api::SolveResult* again :
          std::initializer_list<const api::SolveResult*>{&direct_again,
                                                         &served_again}) {
@@ -900,8 +857,8 @@ TEST(ShardHandoff, NonFaultExceptionIsInternalAndKillsNoDevice) {
       EXPECT_FALSE(again->cached);
     }
     for (shard::ShardedSolver* used :
-         std::initializer_list<shard::ShardedSolver*>{&solver,
-                                                      &service.solver()}) {
+         std::initializer_list<shard::ShardedSolver*>{
+             &solver, service.sharded_solver()}) {
       EXPECT_EQ(used->last_report().devices_used, 4u);
       EXPECT_EQ(partitions_built(*used), 1u);
     }
@@ -1096,9 +1053,7 @@ TEST(SharedRequestCheck, EveryEntryPointRejectsAlike) {
   shard::ShardOptions shard_options;
   shard_options.devices = 4;
   shard::ShardedSolver sharded(shard_options);
-  shard::ShardServiceConfig config;
-  config.shard.devices = 4;
-  shard::ShardedSolveService sharded_service(config);
+  serve::SolveService sharded_service(sharded_config(4));
 
   for (const MalformedRequest& c : malformed_requests()) {
     SCOPED_TRACE(c.name);
@@ -1110,11 +1065,12 @@ TEST(SharedRequestCheck, EveryEntryPointRejectsAlike) {
     EXPECT_EQ(submitted.result().error, c.expected);
     EXPECT_EQ(served.result().error, c.expected);
     EXPECT_EQ(sharded.solve(c.request).error, c.expected);
-    EXPECT_EQ(sharded_service.submit(c.request).error, c.expected);
+    EXPECT_EQ(sharded_service.submit(c.request).wait().error, c.expected);
   }
   EXPECT_EQ(sharded.dead_devices(), 0u);
-  EXPECT_EQ(sharded_service.solver().dead_devices(), 0u);
+  EXPECT_EQ(sharded_service.sharded_solver()->dead_devices(), 0u);
   EXPECT_EQ(service.report().computed, 0u);
+  EXPECT_EQ(sharded_service.report().computed, 0u);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 //   pwserve --json=SERVE_report.json # ServiceReport JSON artefact
 //   pwserve --report                 # the same JSON on stdout
 //   pwserve --fault-plan=storm.plan  # replay under an armed pw::fault plan
-//   pwserve --shards=4               # sharded multi-device replay
+//   pwserve --shards=4               # every solve sharded over 4 devices
 //   pwserve --shards=4 --interconnect=d2d   # direct device links
 //   pwserve --scheduler=wfq          # admission policy: fifo | edf | wfq
 //   pwserve --tenants=3 --zipf=1.1 --arrival=poisson:2000 --diurnal
@@ -36,14 +36,14 @@
 // counted as failures. The canonical spec string is echoed so any run can
 // be replayed exactly via --traffic=.
 //
-// With --shards=N the trace is replayed through pw::shard's
-// ShardedSolveService instead: every solve is partitioned over N simulated
-// device instances, requests are routed to consistent-hash home devices
-// for result caching, and the tool prints the per-device table (admitted /
-// completed / cache hits / faults) plus the failover counters. Combine
-// with --fault-plan arming `shard.<i>.*` sites to watch a device die
-// mid-replay: its cache is dropped, its keyspace migrates, and requests
-// complete degraded through the re-partition ladder.
+// With --shards=N the service runs every solve on one resident
+// pw::shard::ShardedSolver over N simulated device instances
+// (ServiceConfig::shard); every other flag applies unchanged. After the
+// service table the tool prints the final partition and the solver's
+// device deaths and CPU-rung failovers. Combine with --fault-plan arming
+// `shard.<i>.*` sites to watch a device die mid-replay: the solve that
+// loses it re-partitions over the survivors, and it and every later solve
+// complete degraded (bit-exact; cached like any other answer).
 // --interconnect=pcie|d2d picks the modelled halo-exchange topology.
 //
 // With --fault-plan=FILE the file is parsed as a pw::fault plan (see
@@ -55,8 +55,9 @@
 // Exit status: 0 when every admitted request completed ok, 1 when any
 // request failed or was rejected — rejections are typed (queue-full,
 // deadline, lint) and itemised in the table either way. Requests served
-// degraded (failover to the CPU baseline) count as ok: the answer is
-// correct, only the execution strategy changed.
+// degraded (failover to the CPU baseline, or a sharded solve over the
+// surviving devices) count as ok: the answer is correct, only the
+// execution strategy changed.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -72,7 +73,7 @@
 #include "pw/serve/service.hpp"
 #include "pw/serve/trace.hpp"
 #include "pw/serve/traffic.hpp"
-#include "pw/shard/service.hpp"
+#include "pw/shard/sharded_solver.hpp"
 #include "pw/util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
         << "               [--kernels=advect_pw,diffusion,poisson_jacobi]\n"
         << "               [--no-cache] [--block] [--json=FILE] [--report]\n"
         << "               [--fault-plan=FILE]\n"
-        << "               [--shards=N] [--interconnect=pcie|d2d]\n"
+        << "               [--shards=N [--interconnect=pcie|d2d]]\n"
         << "               [--scheduler=fifo|edf|wfq]\n"
         << "               [--tenants=N] [--zipf=S] [--catalogue=N]\n"
         << "               [--arrival=poisson:RATE_HZ] [--diurnal]\n"
@@ -157,8 +158,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --scheduler=fifo|edf|wfq: the admission policy, for both the threaded
-  // single-device service and (as sched::Options) the sharded service.
+  // --scheduler=fifo|edf|wfq: the admission policy.
   std::optional<serve::sched::Policy> scheduler_flag;
   if (const auto name = cli.get("scheduler")) {
     scheduler_flag = serve::sched::parse_policy(*name);
@@ -173,15 +173,12 @@ int main(int argc, char** argv) {
                             cli.has("zipf") || cli.has("arrival") ||
                             cli.has("diurnal");
 
-  // --shards=N: replay the trace through the sharded multi-device service
-  // instead. Solves are synchronous (the whole simulated device set
-  // cooperates on each one), so the worker/batch/queue knobs of the
-  // threaded single-device service do not apply; --json/--report emit the
-  // single-device ServiceReport and are likewise inapplicable here.
+  // --shards=N: every solve runs on one sharded solver over N simulated
+  // devices, behind the same service.
+  std::optional<shard::ShardOptions> shard_options;
   if (cli.has("shards")) {
-    const auto trace = serve::make_trace(spec);
-    shard::ShardServiceConfig config;
-    config.shard.devices =
+    shard_options.emplace();
+    shard_options->devices =
         static_cast<std::size_t>(cli.get_int("shards", 2));
     if (const auto name = cli.get("interconnect")) {
       const auto parsed = shard::parse_interconnect(*name);
@@ -190,62 +187,8 @@ int main(int argc, char** argv) {
                   << "' (expected pcie or d2d)\n";
         return 1;
       }
-      config.shard.interconnect.kind = *parsed;
+      shard_options->interconnect.kind = *parsed;
     }
-    if (cli.get_bool("no-cache", false)) {
-      config.cache_capacity_per_device = 0;
-    }
-    if (scheduler_flag) {
-      config.sched.policy = *scheduler_flag;
-    }
-    shard::ShardedSolveService service(config);
-
-    std::size_t failed = 0;
-    std::size_t degraded = 0;
-    {
-      std::unique_ptr<fault::ScopedArm> arm;
-      if (injector) {
-        arm = std::make_unique<fault::ScopedArm>(*injector);
-      }
-      for (const api::SolveRequest& request : trace) {
-        const api::SolveResult result = service.submit(request);
-        if (!result.ok()) {
-          ++failed;
-          std::cerr << "pwserve: " << request.tag << ": "
-                    << api::describe(result.error)
-                    << (result.message.empty() ? "" : " — " + result.message)
-                    << '\n';
-        } else if (result.degraded) {
-          ++degraded;
-        }
-      }
-    }
-
-    const shard::ShardServiceReport report = service.report();
-    shard::to_table(report).print(std::cout);
-    const shard::ShardRunReport& last = service.solver().last_report();
-    std::cout << "partition: " << last.px << "x" << last.py << " over "
-              << last.devices_used << " of " << config.shard.devices
-              << " devices, interconnect "
-              << shard::to_string(config.shard.interconnect.kind) << '\n';
-    std::cout << "resilience: " << report.failovers
-              << " device-death failovers (" << report.cpu_failovers
-              << " to the CPU rung), " << degraded << " of " << trace.size()
-              << " requests served degraded\n";
-    if (failed != 0) {
-      std::cout << failed << " of " << trace.size()
-                << " requests did not complete ok\n";
-    }
-    if (injector) {
-      const fault::FaultReport faults = injector->report();
-      std::cout << "fault plan: " << faults.injected
-                << " faults injected over " << faults.checks
-                << " hook checks\n";
-      for (const auto& [site, count] : faults.by_site) {
-        std::cout << "  " << site << ": " << count << '\n';
-      }
-    }
-    return failed == 0 ? 0 : 1;
   }
 
   // Traffic mode carries its own arrival clock; trace mode submits a
@@ -342,6 +285,7 @@ int main(int argc, char** argv) {
   config.scheduler = scheduler_flag.value_or(
       traffic_mode ? serve::sched::Policy::kWeightedFair
                    : serve::sched::Policy::kFifo);
+  config.shard = shard_options;
 
   serve::SolveService service(config);
 
@@ -399,6 +343,18 @@ int main(int argc, char** argv) {
 
   const serve::ServiceReport report = service.report();
   serve::to_table(report).print(std::cout);
+  if (shard::ShardedSolver* solver = service.sharded_solver()) {
+    const shard::ShardRunReport& last = solver->last_report();
+    std::cout << "partition: " << last.px << "x" << last.py << " over "
+              << last.devices_used << " of " << solver->options().devices
+              << " devices, interconnect "
+              << shard::to_string(solver->options().interconnect.kind)
+              << '\n';
+    std::cout << "shard: " << solver->metrics().counter("shard.deaths")
+              << " device deaths, "
+              << solver->metrics().counter("shard.cpu_failovers")
+              << " solves on the CPU rung\n";
+  }
   if (!report.tenants.empty() &&
       (traffic_mode || report.tenants.size() > 1)) {
     util::Table tenants("per-tenant admission and latency");
