@@ -121,10 +121,10 @@ PW_BENCH_HOT double relay_pack_ns_per_lane(
 
 /// Cross-thread producer/consumer throughput, reported but not gated (on a
 /// one-core host this measures the scheduler, not the ring).
-double threaded_elems_per_second(pw::dataflow::StreamPolicy policy) {
+double threaded_elems_per_second() {
   constexpr std::size_t kCount = 200000;
   pw::dataflow::Stream<double> stream(
-      {.capacity = 256, .policy = policy, .name = "bench.threaded"});
+      {.capacity = 256, .name = "bench.threaded"});
   pw::util::WallTimer timer;
   std::thread producer([&stream] {
     for (std::size_t i = 0; i < kCount; ++i) {
@@ -148,17 +148,12 @@ void record_bench(pw::obs::MetricsRegistry& registry) {
   using pw::dataflow::MutexStream;
   using pw::dataflow::Stream;
   using pw::dataflow::StreamOptions;
-  using pw::dataflow::StreamPolicy;
 
   MutexStream<double> mutex_stream(StreamOptions{.capacity = 256});
   const double mutex_ns = relay_ns_per_elem(mutex_stream);
 
   Stream<double> spsc(StreamOptions{.capacity = 256});
   const double spsc_ns = relay_ns_per_elem(spsc);
-
-  Stream<double> mpmc(
-      StreamOptions{.capacity = 256, .policy = StreamPolicy::kMpmc});
-  const double mpmc_ns = relay_ns_per_elem(mpmc);
 
   Stream<double> batched(StreamOptions{.capacity = 256});
   const double batched_ns = relay_batched_ns_per_elem(batched);
@@ -168,18 +163,15 @@ void record_bench(pw::obs::MetricsRegistry& registry) {
 
   registry.gauge_set("streams.bench.handoff_ns", spsc_ns);
   registry.gauge_set("streams.bench.mutex_handoff_ns", mutex_ns);
-  registry.gauge_set("streams.bench.mpmc_handoff_ns", mpmc_ns);
   registry.gauge_set("streams.bench.batched_ns", batched_ns);
   registry.gauge_set("streams.bench.pack_lane_ns", pack_ns);
   registry.gauge_set("streams.bench.mutex_over_spsc_handoff",
                      spsc_ns > 0.0 ? mutex_ns / spsc_ns : 0.0);
   registry.counter_add("streams.bench.relay_elems",
-                       static_cast<std::uint64_t>(kRelayElems) * kRepeats * 4);
+                       static_cast<std::uint64_t>(kRelayElems) * kRepeats * 3);
 
   registry.gauge_set("streams.bench.threaded_spsc_elems_per_s",
-                     threaded_elems_per_second(StreamPolicy::kSpsc));
-  registry.gauge_set("streams.bench.threaded_mpmc_elems_per_s",
-                     threaded_elems_per_second(StreamPolicy::kMpmc));
+                     threaded_elems_per_second());
 }
 
 }  // namespace

@@ -32,8 +32,9 @@
 #                              shed_fairness at 1.0 (zero unfair sheds) and
 #                              cache_within_cap at 1.0 (tiered-cache peak
 #                              bytes never exceeded the byte cap)
-#   3c. model checker          ctest -L check (the pw::check unit battery)
-#                              plus the pwcheck scenario suite — exhaustive
+#   3c. model checker          ctest -L check (the pw::check unit battery
+#                              and the tool.pwcheck smoke run) plus the
+#                              pwcheck scenario suite — exhaustive
 #                              bounded-preemption exploration of the ring
 #                              protocols, with the CHECK_scenarios.json
 #                              artefact validated like the bench snapshots.
@@ -53,6 +54,12 @@
 #                              density while UBSan watches for the UB
 #                              (misaligned loads, overflow) that
 #                              memory-ordering bugs tend to surface as. The
+#                              streams label holds the ring stress suite
+#                              (test_stream_fabric), the Stream contract,
+#                              ThreadedPipeline and CycleEngine suite
+#                              (test_dataflow) and the hls::XilinxStream /
+#                              IntelChannel adapters (test_hls); the check
+#                              label includes the pwcheck smoke run. The
 #                              shard label adds the sharded solver's halo
 #                              pull lists (element offsets, negative on the
 #                              west and south faces, applied concurrently by
@@ -70,6 +77,10 @@
 #                              lock-free ring stress suite
 #                              (test_stream_fabric), whose memory-ordering
 #                              argument is only as good as its TSan run,
+#                              plus test_dataflow (Stream close-while-
+#                              blocked, ThreadedPipeline stage threads) and
+#                              test_hls (the vendor stream adapters across
+#                              a producer and a consumer thread),
 #                              the stencil label drives the threaded /
 #                              multi-instance stencil engines plus the
 #                              mixed-kernel SolveService traffic and the
@@ -148,10 +159,11 @@ echo "==== ci: UBSan-only build + streams + fault battery + checker + shard ====
 cmake -B build-ubsan -S . -DPW_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ubsan -j "$JOBS" --target \
-  test_stream_fabric test_fault test_fault_chaos \
+  test_stream_fabric test_dataflow test_hls test_fault test_fault_chaos \
   test_backend_differential test_stencil test_check \
   test_shift_buffer test_kernel_equivalence test_precision test_vectorized \
-  test_ocl test_shard test_decomp test_fuzz_more test_integration pwserve
+  test_ocl test_shard test_decomp test_fuzz_more test_integration pwserve \
+  pwcheck
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L streams
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
@@ -167,7 +179,7 @@ echo "==== ci: TSan build + serve suites + fault battery + ring stress ===="
 cmake -B build-tsan -S . -DPW_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" --target \
-  test_serve test_serve_stress test_stream_fabric \
+  test_serve test_serve_stress test_stream_fabric test_dataflow test_hls \
   test_fault test_fault_chaos test_backend_differential test_stencil \
   test_shard test_decomp test_fuzz_more test_integration test_qos \
   test_shift_buffer test_kernel_equivalence test_precision test_vectorized \

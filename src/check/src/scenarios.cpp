@@ -24,15 +24,14 @@
 namespace pw::check {
 namespace {
 
-using dataflow::StreamPolicy;
 using dataflow::TryPop;
 
 /// Shared plumbing: a fresh instrumented stream per execution plus
 /// recorded-operation helpers for the roles.
 class StreamScenario : public ScenarioInstance {
  public:
-  StreamScenario(std::size_t capacity, StreamPolicy policy)
-      : stream_({.capacity = capacity, .policy = policy}) {}
+  explicit StreamScenario(std::size_t capacity)
+      : stream_({.capacity = capacity}) {}
 
   void finalize() override {
     // Driver-side (no engine registered): drain what the roles left
@@ -120,7 +119,7 @@ class StreamScenario : public ScenarioInstance {
 class SpscRelay : public StreamScenario {
  public:
   SpscRelay(std::size_t capacity, int count)
-      : StreamScenario(capacity, StreamPolicy::kSpsc), count_(count) {}
+      : StreamScenario(capacity), count_(count) {}
 
   std::vector<std::function<void()>> bodies() override {
     return {
@@ -142,7 +141,7 @@ class SpscRelay : public StreamScenario {
 
 class SpscTryFlavors : public StreamScenario {
  public:
-  SpscTryFlavors() : StreamScenario(1, StreamPolicy::kSpsc) {}
+  SpscTryFlavors() : StreamScenario(1) {}
 
   std::vector<std::function<void()>> bodies() override {
     return {
@@ -160,7 +159,7 @@ class SpscTryFlavors : public StreamScenario {
 
 class SpscCloseWhileBlocked : public StreamScenario {
  public:
-  SpscCloseWhileBlocked() : StreamScenario(1, StreamPolicy::kSpsc) {}
+  SpscCloseWhileBlocked() : StreamScenario(1) {}
 
   std::vector<std::function<void()>> bodies() override {
     return {
@@ -196,7 +195,7 @@ class SpscCloseWhileBlocked : public StreamScenario {
 
 class SpscBatch : public StreamScenario {
  public:
-  SpscBatch() : StreamScenario(2, StreamPolicy::kSpsc) {}
+  SpscBatch() : StreamScenario(2) {}
 
   std::vector<std::function<void()>> bodies() override {
     return {
@@ -234,36 +233,6 @@ class SpscBatch : public StreamScenario {
   bool check_linearizability() const override { return false; }
 };
 
-// ---- MPMC: 2 producers x 2 consumers fan-in -----------------------------
-
-class MpmcFanIn : public StreamScenario {
- public:
-  MpmcFanIn() : StreamScenario(2, StreamPolicy::kMpmc) {}
-
-  std::vector<std::function<void()>> bodies() override {
-    auto producer = [this](int tid, long long base) {
-      return [this, tid, base] {
-        do_push(tid, base + 1);
-        do_push(tid, base + 2);
-        // The last producer out closes; acq_rel on the counter orders
-        // every accepted push before the close.
-        if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          do_close(tid);
-        }
-      };
-    };
-    return {
-        producer(0, 100),
-        producer(1, 200),
-        [this] { do_poll_until_closed(2); },
-        [this] { do_poll_until_closed(3); },
-    };
-  }
-
- private:
-  pw::check::atomic<int> remaining_{2};
-};
-
 // ---- Negative: the seeded relaxed-publish ordering bug ------------------
 
 /// Arms rt::set_relaxed_publish_bug so the SPSC tail publish degrades to
@@ -282,7 +251,7 @@ class SpscSeededRelaxedPublish : public SpscRelay {
 
 class SpscWedged : public StreamScenario {
  public:
-  SpscWedged() : StreamScenario(1, StreamPolicy::kSpsc) {}
+  SpscWedged() : StreamScenario(1) {}
 
   std::vector<std::function<void()>> bodies() override {
     return {
@@ -322,10 +291,6 @@ const std::vector<ScenarioSpec>& scenarios() {
        "push_n into capacity 2, wide pop_n: partial tail delivered "
        "exactly once at end-of-stream",
        2, false, 2, make<SpscBatch>()},
-      {"mpmc.fanin_2x2",
-       "2 producers, 2 consumers on the Vyukov ring; last producer "
-       "closes",
-       4, false, 2, make<MpmcFanIn>()},
       {"spsc.seeded_relaxed_publish",
        "NEGATIVE: tail published with a relaxed store; the checker must "
        "report the data race",

@@ -6,14 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "pw/dataflow/placement.hpp"
 #include "pw/dataflow/stage.hpp"
 #include "pw/lint/checks.hpp"
 #include "pw/lint/graph.hpp"
-
-namespace pw::obs {
-class MetricsRegistry;
-}
 
 namespace pw::dataflow {
 
@@ -50,11 +45,6 @@ struct SimReport {
   /// 'D' done.
   std::vector<std::string> trace;
 
-  /// What set_placement asked for and whether the pin took for this run
-  /// (the engine is single-threaded, so one note covers every stage).
-  PlacementSpec placement;
-  bool placement_applied = false;
-
   /// Fired fraction of the named stage (0 when missing).
   double occupancy(const std::string& name) const;
 };
@@ -74,9 +64,6 @@ public:
   /// Registers a stage; the engine takes ownership.
   void add_stage(std::unique_ptr<ICycleStage> stage);
 
-  /// Registers a stage owned elsewhere (must outlive the engine run).
-  void add_stage_ref(ICycleStage* stage);
-
   /// Captures a per-stage waveform for the first `max_cycles` cycles of
   /// the next run (see SimReport::trace).
   void enable_trace(std::uint64_t max_cycles = 2048);
@@ -88,31 +75,13 @@ public:
   /// designs legitimately idle for short stretches).
   void set_deadlock_window(std::uint64_t window);
 
-  /// Publishes every run's results into `registry` (in addition to the
-  /// returned SimReport): per-stage fired/stalled/idle counters and
-  /// occupancy gauges under `<prefix>.stage.<name>.*`, plus run-level
-  /// `<prefix>.cycles` / `<prefix>.runs` counters and a
-  /// `<prefix>.completed` gauge. The registry must outlive the engine;
-  /// nullptr detaches.
-  void set_metrics(obs::MetricsRegistry* registry,
-                   std::string prefix = "dataflow");
-
   /// Declares the stream-connectivity graph of the registered stages.
   /// run() then invokes the pw::lint battery before the first cycle
   /// (policy kEnforce by default: a malformed graph is rejected, not
   /// simulated) and deadlock diagnosis names the blocking streams via the
   /// graph's probes.
-  /// Pins the simulation thread for the duration of each run() (restored
-  /// afterwards — the pin never leaks to the caller). The engine ticks
-  /// every stage on one thread, so this is a whole-simulation placement,
-  /// useful for keeping cycle-accurate timing runs off busy cores.
-  void set_placement(PlacementSpec placement) { placement_ = placement; }
-
   void set_graph(lint::PipelineGraph graph);
   void set_lint_policy(LintPolicy policy) { lint_policy_ = policy; }
-  void set_lint_options(lint::LintOptions options) {
-    lint_options_ = std::move(options);
-  }
   const lint::PipelineGraph* graph() const noexcept {
     return graph_.has_value() ? &*graph_ : nullptr;
   }
@@ -122,16 +91,11 @@ public:
   SimReport run(std::uint64_t max_cycles = UINT64_MAX);
 
 private:
-  std::vector<std::unique_ptr<ICycleStage>> owned_;
-  std::vector<ICycleStage*> stages_;
+  std::vector<std::unique_ptr<ICycleStage>> stages_;
   std::uint64_t trace_cycles_ = 0;
   std::uint64_t deadlock_window_ = 4096;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::string metrics_prefix_ = "dataflow";
   std::optional<lint::PipelineGraph> graph_;
   LintPolicy lint_policy_ = LintPolicy::kEnforce;
-  lint::LintOptions lint_options_;
-  PlacementSpec placement_;
 };
 
 }  // namespace pw::dataflow

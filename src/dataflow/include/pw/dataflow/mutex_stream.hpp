@@ -108,7 +108,6 @@ class MutexStream {
   }
 
   std::size_t capacity() const noexcept { return options_.capacity; }
-  const StreamOptions& options() const noexcept { return options_; }
 
  private:
   StreamOptions options_;

@@ -6,32 +6,28 @@ namespace pw::dataflow {
 
 /// Where a pipeline stage's thread should run — the explicit replacement
 /// for the implicit "spawn a thread wherever the scheduler likes" that
-/// ThreadedPipeline::add_stage used to do. Placement is best-effort and
-/// advisory: on platforms without affinity syscalls (or when the requested
-/// core does not exist) apply_placement reports failure and the stage runs
-/// unpinned — never an error, because correctness must not depend on
+/// ThreadedPipeline::add_stage used to do. A stage is either unpinned or
+/// pinned to one core. Placement is best-effort and advisory: on platforms
+/// without affinity syscalls apply_placement reports failure and the stage
+/// runs unpinned — never an error, because correctness must not depend on
 /// topology.
 struct PlacementSpec {
   enum class Mode {
-    kUnpinned,   ///< scheduler's choice (the old behaviour)
-    kCore,       ///< pin to one logical core (index modulo available cores)
-    kNumaNode,   ///< pin to every core of one NUMA node (Linux sysfs)
+    kUnpinned,  ///< scheduler's choice (the old behaviour)
+    kCore,      ///< pin to one logical core (index modulo available cores)
   };
 
   Mode mode = Mode::kUnpinned;
-  int index = -1;  ///< core or node index; ignored for kUnpinned
+  int index = -1;  ///< core index; ignored for kUnpinned
 
   static PlacementSpec unpinned() noexcept { return {}; }
   static PlacementSpec core(int core) noexcept {
     return {Mode::kCore, core};
   }
-  static PlacementSpec numa_node(int node) noexcept {
-    return {Mode::kNumaNode, node};
-  }
 
   bool pinned() const noexcept { return mode != Mode::kUnpinned; }
 
-  /// "unpinned", "core 3", "numa 1" — for placement reports and tests.
+  /// "unpinned", "core 3" — for placement reports and tests.
   std::string describe() const;
 
   bool operator==(const PlacementSpec&) const = default;
@@ -45,24 +41,5 @@ bool apply_placement(const PlacementSpec& spec) noexcept;
 
 /// Online logical cores as the placement layer sees them (>= 1).
 int placement_cores() noexcept;
-
-/// RAII: applies `spec` on construction and restores the thread's previous
-/// affinity mask on destruction — how CycleEngine pins its (single)
-/// simulation thread for the duration of one run() without leaking the pin
-/// to the caller.
-class ScopedPlacement {
- public:
-  explicit ScopedPlacement(const PlacementSpec& spec) noexcept;
-  ~ScopedPlacement();
-  ScopedPlacement(const ScopedPlacement&) = delete;
-  ScopedPlacement& operator=(const ScopedPlacement&) = delete;
-
-  bool applied() const noexcept { return applied_; }
-
- private:
-  bool applied_ = false;
-  bool restore_ = false;
-  unsigned long saved_mask_[16] = {};  ///< opaque saved cpu_set storage
-};
 
 }  // namespace pw::dataflow

@@ -8,7 +8,9 @@ namespace pw::dataflow {
 /// Gate through which cycle-level stages route their external-memory
 /// traffic. The FPGA memory-system model implements this to convert a
 /// port's byte demand into back-pressure (stalls) when the banks it maps to
-/// cannot sustain the request rate.
+/// cannot sustain the request rate. Ideal memory needs no limiter: a
+/// stage given none (kernel::CycleSimConfig::memory = nullptr) never
+/// stalls on memory.
 class IRateLimiter {
 public:
   virtual ~IRateLimiter() = default;
@@ -19,13 +21,6 @@ public:
   /// Advances the limiter's cycle (token refill). The engine's owner calls
   /// this once per simulated cycle, before stage ticks.
   virtual void advance_cycle() = 0;
-};
-
-/// A limiter that never stalls (ideal memory).
-class UnlimitedRateLimiter final : public IRateLimiter {
-public:
-  bool request(std::size_t, std::size_t) override { return true; }
-  void advance_cycle() override {}
 };
 
 }  // namespace pw::dataflow

@@ -258,118 +258,6 @@ class SpscRing {
   Side cons_;  ///< cursor = head, peer_cache = last-seen tail
 };
 
-/// Lock-free bounded multi-producer/multi-consumer ring (Vyukov's
-/// sequence-number design): every cell carries a ticket; producers claim
-/// `tail` positions by CAS and stamp the cell visible with a release store
-/// of its sequence, consumers mirror that on `head`. No operation ever
-/// waits on a lock, so a pre-empted thread cannot wedge the others — the
-/// property the serve-path fan-in needs under storm tests.
-///
-/// Size accounting is exact when quiescent; under concurrent traffic the
-/// capacity bound is enforced per-cell (a producer cannot claim a cell the
-/// consumer has not freed), bounded by the power-of-two slot count.
-template <typename T>
-class MpmcRing {
- public:
-  explicit MpmcRing(std::size_t capacity)
-      : slots_(round_up_pow2(capacity)),
-        mask_(slots_ - 1),
-        cells_(std::make_unique<Cell[]>(slots_)) {
-    for (std::size_t i = 0; i < slots_; ++i) {
-      cells_[i].sequence.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  ~MpmcRing() {
-    // No concurrency by the time a ring dies: every cell in [head, tail)
-    // still holds a constructed element.
-    std::uint64_t head = head_.value.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.value.load(std::memory_order_relaxed);
-    for (; head != tail; ++head) {
-      slot(cells_[head & mask_])->~T();
-    }
-  }
-
-  MpmcRing(const MpmcRing&) = delete;
-  MpmcRing& operator=(const MpmcRing&) = delete;
-
-  bool try_push(T& value) {
-    std::uint64_t pos = tail_.value.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::uint64_t seq = cell.sequence.load(std::memory_order_acquire);
-      const auto diff = static_cast<std::int64_t>(seq) -
-                        static_cast<std::int64_t>(pos);
-      if (diff == 0) {
-        if (tail_.value.compare_exchange_weak(pos, pos + 1,
-                                              std::memory_order_relaxed)) {
-          pw::check::data_write(cell.storage);
-          ::new (static_cast<void*>(slot(cell))) T(std::move(value));
-          cell.sequence.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (diff < 0) {
-        return false;  // full: the consumer has not recycled this cell yet
-      } else {
-        pos = tail_.value.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  bool try_pop(T& out) {
-    std::uint64_t pos = head_.value.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::uint64_t seq = cell.sequence.load(std::memory_order_acquire);
-      const auto diff = static_cast<std::int64_t>(seq) -
-                        static_cast<std::int64_t>(pos + 1);
-      if (diff == 0) {
-        if (head_.value.compare_exchange_weak(pos, pos + 1,
-                                              std::memory_order_relaxed)) {
-          pw::check::data_write(cell.storage);
-          T* cell_value = slot(cell);
-          out = std::move(*cell_value);
-          cell_value->~T();
-          cell.sequence.store(pos + slots_, std::memory_order_release);
-          return true;
-        }
-      } else if (diff < 0) {
-        return false;  // empty
-      } else {
-        pos = head_.value.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  std::size_t size() const noexcept {
-    const std::uint64_t tail = tail_.value.load(std::memory_order_acquire);
-    const std::uint64_t head = head_.value.load(std::memory_order_acquire);
-    return tail >= head ? static_cast<std::size_t>(tail - head) : 0;
-  }
-
-  std::size_t capacity() const noexcept { return slots_; }
-
- private:
-  struct Cell {
-    pw::check::atomic<std::uint64_t> sequence;
-    alignas(T) unsigned char storage[sizeof(T)];
-  };
-
-  static T* slot(Cell& cell) noexcept {
-    return std::launder(reinterpret_cast<T*>(cell.storage));
-  }
-
-  struct alignas(kCacheLine) PaddedCursor {
-    pw::check::atomic<std::uint64_t> value{0};
-  };
-
-  const std::size_t slots_;
-  const std::size_t mask_;
-  std::unique_ptr<Cell[]> cells_;
-  PaddedCursor tail_;
-  PaddedCursor head_;
-};
-
 }  // namespace detail
 PW_CHECK_ABI_END
 }  // namespace pw::dataflow

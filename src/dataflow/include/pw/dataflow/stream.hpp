@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -27,7 +26,7 @@ enum class TryPop {
 
 /// Point-in-time traffic counters of one stream (see Stream::stats /
 /// Stream::publish). Counts are exact per side: `pushed` is written only
-/// by producers, `popped` only by consumers.
+/// by the producer, `popped` only by the consumer.
 struct StreamStats {
   std::uint64_t pushed = 0;
   std::uint64_t popped = 0;
@@ -40,14 +39,17 @@ struct StreamStats {
 /// the software analogue of an `hls::stream` / OpenCL channel, rebuilt in
 /// PR 6 as a lock-free fabric.
 ///
-/// The transport is chosen by StreamOptions::policy: a cache-line-padded
-/// SPSC ring by default (the Fig. 2 pipelines are strictly point-to-point,
-/// which pw::lint verifies), a Vyukov MPMC ring where fan-in genuinely
-/// needs it. Blocking paths spin-then-yield-then-nap (detail::Backoff)
-/// instead of parking on a condvar, so the steady-state hot path is a
-/// handful of plain loads/stores on uncontended cache lines —
-/// bench/micro_streams gates the SPSC handoff at >= 5x below the old
-/// mutex stream (kept as MutexStream, the referee).
+/// The one transport is a cache-line-padded single-producer/single-
+/// consumer ring (detail::SpscRing): the Fig. 2 pipelines are strictly
+/// point-to-point, and pw::lint rejects a declared stream with a second
+/// writer or reader. Exactly one thread may push (push, try_push, push_n)
+/// and exactly one may pop (pop, try_pop, pop_n); close() and the
+/// observers may be called from any thread. Blocking paths
+/// spin-then-yield-then-nap (detail::Backoff) instead of parking on a
+/// condvar, so the steady-state hot path is a handful of plain
+/// loads/stores on uncontended cache lines — bench/micro_streams gates
+/// the handoff at >= 5x below the old mutex stream (kept as MutexStream,
+/// the referee).
 ///
 /// Close-while-blocked contract (unchanged from the mutex era): close()
 /// may be called from any thread at any time, including while a producer
@@ -65,7 +67,7 @@ struct StreamStats {
 /// named stream additionally attributes every injected fault to its name
 /// in FaultReport::by_stream. Disarmed cost is one atomic load.
 ///
-/// Like the rings underneath it, Stream goes through the pw::check atomics
+/// Like the ring underneath it, Stream goes through the pw::check atomics
 /// shim and lives in a PW_CHECK-versioned inline namespace: production TUs
 /// get `fabric::Stream` on real std::atomics, the pw::check scenario
 /// library gets `modelchecked::Stream` under the virtual scheduler — same
@@ -78,14 +80,8 @@ class Stream {
 
   /// The only constructor — the bare-integer `Stream(capacity)` of PRs 0-5
   /// is gone; say `Stream<T>({.capacity = 8, .name = "raster"})`.
-  explicit Stream(StreamOptions options) : options_(std::move(options)) {
-    options_.validate();
-    if (options_.policy == StreamPolicy::kSpsc) {
-      spsc_ = std::make_unique<detail::SpscRing<T>>(options_.capacity);
-    } else {
-      mpmc_ = std::make_unique<detail::MpmcRing<T>>(options_.capacity);
-    }
-  }
+  explicit Stream(StreamOptions options)
+      : options_(std::move(options)), ring_(validated_capacity(options_)) {}
 
   /// Blocking push. True when the value was enqueued; false when the
   /// stream is (or becomes, while blocked) closed — the value is then
@@ -102,7 +98,7 @@ class Stream {
     if (closed_.load(std::memory_order_acquire)) {
       return false;
     }
-    if (ring_try_push(value)) {
+    if (ring_.try_push(value)) {
       count_push(1);
       return true;
     }
@@ -112,7 +108,7 @@ class Stream {
       if (closed_.load(std::memory_order_acquire)) {
         return false;
       }
-      if (ring_try_push(value)) {
+      if (ring_.try_push(value)) {
         count_push(1);
         return true;
       }
@@ -126,7 +122,7 @@ class Stream {
     if (closed_.load(std::memory_order_acquire)) {
       return false;
     }
-    if (!ring_try_push(value)) {
+    if (!ring_.try_push(value)) {
       return false;
     }
     count_push(1);
@@ -134,9 +130,9 @@ class Stream {
   }
 
   /// Blocking bulk push of `values[0, count)`. Returns how many elements
-  /// were accepted — `count` unless the stream closed mid-batch. The SPSC
-  /// ring publishes each accepted run with a single release store, which
-  /// is what amortises per-element synchronisation for wide DataPack
+  /// were accepted — `count` unless the stream closed mid-batch. The ring
+  /// publishes each accepted run with a single release store, which is
+  /// what amortises per-element synchronisation for wide DataPack
   /// traffic. One fault consultation per call.
   std::size_t push_n(T* values, std::size_t count) {
     if (auto fault = fault::check("dataflow.stream.push", options_.name)) {
@@ -154,12 +150,8 @@ class Stream {
       if (closed_.load(std::memory_order_acquire)) {
         break;
       }
-      std::size_t accepted;
-      if (spsc_) {
-        accepted = spsc_->try_push_n(values + done, count - done);
-      } else {
-        accepted = ring_try_push(values[done]) ? 1 : 0;
-      }
+      const std::size_t accepted =
+          ring_.try_push_n(values + done, count - done);
       if (accepted == 0) {
         if (!blocked_counted) {
           blocked_counted = true;
@@ -186,21 +178,21 @@ class Stream {
       }
     }
     T value;
-    if (ring_try_pop(value)) {
+    if (ring_.try_pop(value)) {
       count_pop(1);
       return value;
     }
     count_blocked(pop_blocked_);
     detail::Backoff backoff;
     for (;;) {
-      if (ring_try_pop(value)) {
+      if (ring_.try_pop(value)) {
         count_pop(1);
         return value;
       }
       if (closed_.load(std::memory_order_acquire)) {
         // Acquiring `closed` made every pre-close push visible; one last
         // look distinguishes drained from racing-in elements.
-        if (ring_try_pop(value)) {
+        if (ring_.try_pop(value)) {
           count_pop(1);
           return value;
         }
@@ -215,12 +207,12 @@ class Stream {
   /// (end-of-stream, stop). This is the contract fix for pollers; the
   /// optional-returning overload below cannot tell the two apart.
   TryPop try_pop(T& out) {
-    if (ring_try_pop(out)) {
+    if (ring_.try_pop(out)) {
       count_pop(1);
       return TryPop::kValue;
     }
     if (closed_.load(std::memory_order_acquire)) {
-      if (ring_try_pop(out)) {
+      if (ring_.try_pop(out)) {
         count_pop(1);
         return TryPop::kValue;
       }
@@ -235,7 +227,7 @@ class Stream {
   /// overload or check exhausted() to terminate.
   std::optional<T> try_pop() {
     T value;
-    if (!ring_try_pop(value)) {
+    if (!ring_.try_pop(value)) {
       return std::nullopt;
     }
     count_pop(1);
@@ -260,23 +252,14 @@ class Stream {
     detail::Backoff backoff;
     bool blocked_counted = false;
     while (done < count) {
-      std::size_t got;
-      if (spsc_) {
-        got = spsc_->try_pop_n(out + done, count - done);
-      } else {
-        got = ring_try_pop(out[done]) ? 1 : 0;
-      }
+      std::size_t got = ring_.try_pop_n(out + done, count - done);
       if (got > 0) {
         backoff.reset();
         done += got;
         continue;
       }
       if (closed_.load(std::memory_order_acquire)) {
-        if (spsc_) {
-          got = spsc_->try_pop_n(out + done, count - done);
-        } else {
-          got = ring_try_pop(out[done]) ? 1 : 0;
-        }
+        got = ring_.try_pop_n(out + done, count - done);
         done += got;
         if (got == 0) {
           break;
@@ -305,13 +288,10 @@ class Stream {
     return closed() && size() == 0;
   }
 
-  std::size_t size() const noexcept {
-    return spsc_ ? spsc_->size() : mpmc_->size();
-  }
+  std::size_t size() const noexcept { return ring_.size(); }
 
   std::size_t capacity() const noexcept { return options_.capacity; }
   const std::string& name() const noexcept { return options_.name; }
-  const StreamOptions& options() const noexcept { return options_; }
 
   StreamStats stats() const noexcept {
     StreamStats s;
@@ -341,47 +321,27 @@ class Stream {
   }
 
  private:
-  bool ring_try_push(T& value) {
-    if (spsc_) {
-      return spsc_->try_push(value);
-    }
-    // The MPMC ring rounds its slot count up to a power of two; enforce
-    // the declared capacity here (exact when quiescent, bounded by the
-    // slot count under concurrent races).
-    if (mpmc_->size() >= options_.capacity) {
-      return false;
-    }
-    return mpmc_->try_push(value);
+  static std::size_t validated_capacity(const StreamOptions& options) {
+    options.validate();
+    return options.capacity;
   }
 
-  bool ring_try_pop(T& out) {
-    return spsc_ ? spsc_->try_pop(out) : mpmc_->try_pop(out);
-  }
-
-  /// SPSC counters have a single writer per side, so a plain load+store
-  /// (no locked RMW) keeps the hot path cheap; MPMC needs the fetch_add.
+  /// Each side's counter has one writer (the producer or the consumer),
+  /// so a plain load+store (no locked RMW) keeps the hot path cheap.
   void count_push(std::uint64_t n) noexcept {
     if (n == 0) {
       return;
     }
-    if (spsc_) {
-      pushed_.store(pushed_.load(std::memory_order_relaxed) + n,
-                    std::memory_order_relaxed);
-    } else {
-      pushed_.fetch_add(n, std::memory_order_relaxed);
-    }
+    pushed_.store(pushed_.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
   }
 
   void count_pop(std::uint64_t n) noexcept {
     if (n == 0) {
       return;
     }
-    if (spsc_) {
-      popped_.store(popped_.load(std::memory_order_relaxed) + n,
-                    std::memory_order_relaxed);
-    } else {
-      popped_.fetch_add(n, std::memory_order_relaxed);
-    }
+    popped_.store(popped_.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
   }
 
   void count_blocked(pw::check::atomic<std::uint64_t>& counter) noexcept {
@@ -393,8 +353,7 @@ class Stream {
   }
 
   StreamOptions options_;
-  std::unique_ptr<detail::SpscRing<T>> spsc_;
-  std::unique_ptr<detail::MpmcRing<T>> mpmc_;
+  detail::SpscRing<T> ring_;
   alignas(detail::kCacheLine) pw::check::atomic<bool> closed_{false};
   alignas(detail::kCacheLine) pw::check::atomic<std::uint64_t> pushed_{0};
   alignas(detail::kCacheLine) pw::check::atomic<std::uint64_t> popped_{0};

@@ -6,27 +6,16 @@
 
 namespace pw::dataflow {
 
-/// Concurrency discipline of one stream. The paper's Fig. 2 pipelines are
-/// chains of point-to-point FIFOs — exactly one producer stage and one
-/// consumer stage per stream (pw::lint's connectivity check enforces the
-/// same shape statically) — so the single-producer/single-consumer ring is
-/// the default. kMpmc is the fallback for genuine fan-in (several threads
-/// pushing into one stream), at the cost of CAS traffic per element.
-enum class StreamPolicy {
-  kSpsc,  ///< lock-free SPSC ring (default; requires 1 producer + 1 consumer)
-  kMpmc,  ///< lock-free MPMC ring (Vyukov-style, any number of threads)
-};
-
-inline const char* to_string(StreamPolicy policy) noexcept {
-  return policy == StreamPolicy::kSpsc ? "spsc" : "mpmc";
-}
-
-/// Construction-time description of a Stream — the PR 6 redesign of the
-/// old bare-integer `Stream<T>(capacity)` constructor. Designated
-/// initialisers keep call sites self-describing:
+/// Construction-time description of a Stream, a SimStream or a
+/// MutexStream. Designated initialisers keep call sites self-describing:
 ///
 ///   Stream<Packet> stencils({.capacity = depth,
 ///                            .name = "xilinx/stencils"});
+///
+/// There is no transport knob: the paper's Fig. 2 pipelines are chains of
+/// point-to-point FIFOs (one producer stage, one consumer stage per
+/// stream, which pw::lint's connectivity check enforces), so every Stream
+/// is the single-producer/single-consumer ring.
 ///
 /// `name` is what attributes the stream everywhere an anonymous FIFO used
 /// to appear: lint diagnostics (declared-depth vs live-capacity check,
@@ -36,14 +25,7 @@ inline const char* to_string(StreamPolicy policy) noexcept {
 /// invisible to all three).
 struct StreamOptions {
   std::size_t capacity = 16;
-  StreamPolicy policy = StreamPolicy::kSpsc;
   std::string name;
-  /// Advisory placement hint: the core the producing stage is expected to
-  /// run on (see PlacementSpec). The stream itself never pins anything —
-  /// the hint is surfaced through options() so pipeline builders can
-  /// co-locate a stream's endpoints and keep the ring's cache lines on one
-  /// socket. -1 = no preference.
-  int affinity_hint = -1;
 
   /// Throws std::invalid_argument on a zero capacity (a depthless FIFO
   /// can never move a value).

@@ -6,8 +6,8 @@
 /// shared options type). Everything now lives behind this header and
 /// speaks StreamOptions:
 ///
-///   Stream<T>      lock-free threaded FIFO (SPSC ring by default, MPMC
-///                  on request) — the hot transport.
+///   Stream<T>      lock-free single-producer/single-consumer FIFO
+///                  between two threads — the hot transport.
 ///   MutexStream<T> the pre-PR-6 mutex implementation, kept as referee
 ///                  for differential tests and the handoff bench gate.
 ///   SimStream<T>   single-threaded one-beat-per-cycle FIFO for the
@@ -31,8 +31,7 @@ namespace pw::dataflow {
 /// Single-threaded bounded FIFO used by the cycle engine. A stage tick may
 /// move at most one element per port per cycle, which models the one-beat-
 /// per-cycle FIFOs HLS tools synthesise. Takes the same StreamOptions as
-/// Stream (policy is ignored — there is no concurrency to pick a ring
-/// for); the name feeds lint diagnostics and deadlock blame.
+/// Stream; the name feeds lint diagnostics and deadlock blame.
 template <typename T>
 class SimStream {
 public:
@@ -47,7 +46,6 @@ public:
   std::size_t size() const noexcept { return queue_.size(); }
   std::size_t capacity() const noexcept { return options_.capacity; }
   const std::string& name() const noexcept { return options_.name; }
-  const StreamOptions& options() const noexcept { return options_; }
 
   bool push(T value) {
     if (full()) {
@@ -65,8 +63,6 @@ public:
     queue_.pop_front();
     return value;
   }
-
-  const T* peek() const { return queue_.empty() ? nullptr : &queue_.front(); }
 
   void set_eos() noexcept { eos_ = true; }
   /// True when the producer has finished and the FIFO is drained.

@@ -49,7 +49,7 @@ public:
   /// Adds a named stage body, optionally pinning its thread. The default
   /// is the old behaviour (scheduler's choice); pass
   /// PlacementSpec::core(n) to give latency-critical stages (the paper's
-  /// advect trio) stable cache/NUMA homes.
+  /// advect trio) stable cache homes.
   void add_stage(std::string name, std::function<void()> body,
                  PlacementSpec placement = PlacementSpec::unpinned());
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "pw/obs/metrics.hpp"
-
 namespace pw::dataflow {
 
 std::string render_trace(const SimReport& report) {
@@ -36,12 +34,7 @@ double SimReport::occupancy(const std::string& name) const {
 }
 
 void CycleEngine::add_stage(std::unique_ptr<ICycleStage> stage) {
-  stages_.push_back(stage.get());
-  owned_.push_back(std::move(stage));
-}
-
-void CycleEngine::add_stage_ref(ICycleStage* stage) {
-  stages_.push_back(stage);
+  stages_.push_back(std::move(stage));
 }
 
 void CycleEngine::enable_trace(std::uint64_t max_cycles) {
@@ -50,12 +43,6 @@ void CycleEngine::enable_trace(std::uint64_t max_cycles) {
 
 void CycleEngine::set_deadlock_window(std::uint64_t window) {
   deadlock_window_ = window;
-}
-
-void CycleEngine::set_metrics(obs::MetricsRegistry* registry,
-                              std::string prefix) {
-  metrics_ = registry;
-  metrics_prefix_ = std::move(prefix);
 }
 
 void CycleEngine::set_graph(lint::PipelineGraph graph) {
@@ -109,24 +96,16 @@ std::string describe_blocking_streams(const lint::PipelineGraph& graph) {
 
 SimReport CycleEngine::run(std::uint64_t max_cycles) {
   SimReport report;
-  // Pin the (single) simulation thread for the whole run; the previous
-  // affinity mask is restored when this scope unwinds.
-  ScopedPlacement pin(placement_);
-  report.placement = placement_;
-  report.placement_applied = pin.applied();
   if (graph_.has_value() && lint_policy_ != LintPolicy::kOff) {
-    report.lint = lint::run_checks(*graph_, lint_options_);
+    report.lint = lint::run_checks(*graph_);
     if (!report.lint->passed() && lint_policy_ == LintPolicy::kEnforce) {
       // Fail fast: a malformed graph is rejected before the first cycle
       // instead of burning the budget to rediscover it as a deadlock.
       report.lint_rejected = true;
       report.deadlock_diagnosis = report.lint->summary();
-      for (const ICycleStage* stage : stages_) {
+      for (const auto& stage : stages_) {
         report.stage_names.push_back(stage->name());
         report.stage_stats.push_back(stage->stats());
-      }
-      if (metrics_ != nullptr) {
-        metrics_->counter_add(metrics_prefix_ + ".lint_rejected");
       }
       return report;
     }
@@ -158,7 +137,7 @@ SimReport CycleEngine::run(std::uint64_t max_cycles) {
       std::ostringstream diagnosis;
       diagnosis << "no stage fired for " << cycles_without_fire
                 << " cycles; states:";
-      for (const ICycleStage* stage : stages_) {
+      for (const auto& stage : stages_) {
         diagnosis << ' ' << stage->name()
                   << (stage->done() ? "=done" : "=blocked");
       }
@@ -176,26 +155,9 @@ SimReport CycleEngine::run(std::uint64_t max_cycles) {
   report.completed = all_done;
   report.stage_names.reserve(stages_.size());
   report.stage_stats.reserve(stages_.size());
-  for (const ICycleStage* stage : stages_) {
+  for (const auto& stage : stages_) {
     report.stage_names.push_back(stage->name());
     report.stage_stats.push_back(stage->stats());
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter_add(metrics_prefix_ + ".runs");
-    metrics_->counter_add(metrics_prefix_ + ".cycles", report.cycles);
-    metrics_->gauge_set(metrics_prefix_ + ".completed",
-                        report.completed ? 1.0 : 0.0);
-    metrics_->gauge_set(metrics_prefix_ + ".deadlocked",
-                        report.deadlocked ? 1.0 : 0.0);
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-      const std::string base =
-          metrics_prefix_ + ".stage." + report.stage_names[s];
-      const StageStats& stats = report.stage_stats[s];
-      metrics_->counter_add(base + ".fired", stats.fired);
-      metrics_->counter_add(base + ".stalled", stats.stalled);
-      metrics_->counter_add(base + ".idle", stats.idle);
-      metrics_->gauge_set(base + ".occupancy", stats.occupancy());
-    }
   }
   return report;
 }

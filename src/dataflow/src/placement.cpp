@@ -5,23 +5,12 @@
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
-
-#include <cstdio>
-#include <cstring>
 #endif
 
 namespace pw::dataflow {
 
 std::string PlacementSpec::describe() const {
-  switch (mode) {
-    case Mode::kUnpinned:
-      return "unpinned";
-    case Mode::kCore:
-      return "core " + std::to_string(index);
-    case Mode::kNumaNode:
-      return "numa " + std::to_string(index);
-  }
-  return "unpinned";
+  return mode == Mode::kCore ? "core " + std::to_string(index) : "unpinned";
 }
 
 int placement_cores() noexcept {
@@ -29,124 +18,21 @@ int placement_cores() noexcept {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-#if defined(__linux__)
-
-namespace {
-
-/// Parses a sysfs cpulist ("0-3,8,10-11") into `set`; false on any
-/// parse/read problem so callers degrade to unpinned.
-bool cpulist_to_set(const char* path, cpu_set_t& set) {
-  std::FILE* file = std::fopen(path, "re");
-  if (file == nullptr) {
-    return false;
-  }
-  char buffer[4096];
-  const std::size_t got = std::fread(buffer, 1, sizeof(buffer) - 1, file);
-  std::fclose(file);
-  if (got == 0) {
-    return false;
-  }
-  buffer[got] = '\0';
-  CPU_ZERO(&set);
-  const char* p = buffer;
-  while (*p != '\0' && *p != '\n') {
-    char* end = nullptr;
-    const long lo = std::strtol(p, &end, 10);
-    if (end == p || lo < 0) {
-      return false;
-    }
-    long hi = lo;
-    p = end;
-    if (*p == '-') {
-      ++p;
-      hi = std::strtol(p, &end, 10);
-      if (end == p || hi < lo) {
-        return false;
-      }
-      p = end;
-    }
-    for (long c = lo; c <= hi && c < CPU_SETSIZE; ++c) {
-      CPU_SET(static_cast<int>(c), &set);
-    }
-    if (*p == ',') {
-      ++p;
-    }
-  }
-  return CPU_COUNT(&set) > 0;
-}
-
-bool build_mask(const PlacementSpec& spec, cpu_set_t& set) {
-  switch (spec.mode) {
-    case PlacementSpec::Mode::kUnpinned:
-      return false;
-    case PlacementSpec::Mode::kCore: {
-      if (spec.index < 0) {
-        return false;
-      }
-      CPU_ZERO(&set);
-      CPU_SET(spec.index % placement_cores(), &set);
-      return true;
-    }
-    case PlacementSpec::Mode::kNumaNode: {
-      if (spec.index < 0) {
-        return false;
-      }
-      char path[128];
-      std::snprintf(path, sizeof(path),
-                    "/sys/devices/system/node/node%d/cpulist", spec.index);
-      return cpulist_to_set(path, set);
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 bool apply_placement(const PlacementSpec& spec) noexcept {
   if (!spec.pinned()) {
     return true;  // nothing requested, trivially satisfied
   }
-  cpu_set_t set;
-  if (!build_mask(spec, set)) {
+#if defined(__linux__)
+  if (spec.index < 0) {
     return false;
   }
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(spec.index % placement_cores(), &set);
   return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-}
-
-ScopedPlacement::ScopedPlacement(const PlacementSpec& spec) noexcept {
-  static_assert(sizeof(saved_mask_) >= sizeof(cpu_set_t),
-                "saved mask storage too small for cpu_set_t");
-  if (!spec.pinned()) {
-    applied_ = true;
-    return;
-  }
-  cpu_set_t saved;
-  if (pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved) == 0) {
-    std::memcpy(saved_mask_, &saved, sizeof(saved));
-    restore_ = true;
-  }
-  applied_ = apply_placement(spec);
-}
-
-ScopedPlacement::~ScopedPlacement() {
-  if (restore_) {
-    cpu_set_t saved;
-    std::memcpy(&saved, saved_mask_, sizeof(saved));
-    pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
-  }
-}
-
-#else  // !__linux__
-
-bool apply_placement(const PlacementSpec& spec) noexcept {
-  return !spec.pinned();  // nothing to do / unsupported
-}
-
-ScopedPlacement::ScopedPlacement(const PlacementSpec& spec) noexcept
-    : applied_(!spec.pinned()) {}
-
-ScopedPlacement::~ScopedPlacement() = default;
-
+#else
+  return false;  // unsupported: the stage runs unpinned
 #endif
+}
 
 }  // namespace pw::dataflow

@@ -39,7 +39,6 @@ class CircuitBreaker {
   State state() const;
   /// Times the breaker transitioned closed/half-open -> open.
   std::uint64_t opens() const;
-  std::size_t consecutive_failures() const;
 
  private:
   void open_locked();

@@ -86,9 +86,4 @@ std::uint64_t CircuitBreaker::opens() const {
   return opens_;
 }
 
-std::size_t CircuitBreaker::consecutive_failures() const {
-  std::lock_guard lock(mutex_);
-  return failures_;
-}
-
 }  // namespace pw::fault

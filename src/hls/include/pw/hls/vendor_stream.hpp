@@ -13,10 +13,10 @@ namespace pw::hls {
 /// Xilinx-HLS-flavoured stream facade: the `hls::stream<T>` API surface
 /// (read/write/empty) over the library's lock-free Stream. Used by the
 /// Xilinx-style kernel frontend so that frontend reads like Vitis HLS
-/// code. HLS streams are strictly point-to-point, so the default SPSC
-/// policy of StreamOptions is always the right one here; name your
-/// streams — `XilinxStream<T> raster({.capacity = depth, .name =
-/// "xilinx.raster"})` — so lint, obs and fault attribution can see them.
+/// code. HLS streams are strictly point-to-point, like the SPSC ring
+/// underneath: one writing stage, one reading stage. Name your streams —
+/// `XilinxStream<T> raster({.capacity = depth, .name = "xilinx.raster"})`
+/// — so lint, obs and fault attribution can see them.
 template <typename T>
 class XilinxStream {
 public:
@@ -35,8 +35,8 @@ public:
   }
 
   /// Blocking burst write of `values[0, count)` — the software analogue
-  /// of an AXI burst; one fault consultation and (on the SPSC ring) far
-  /// fewer cursor publishes than `count` scalar writes.
+  /// of an AXI burst; one fault consultation and far fewer cursor
+  /// publishes than `count` scalar writes.
   void write_n(T* values, std::size_t count) {
     stream_.push_n(values, count);
   }
@@ -50,12 +50,6 @@ public:
       throw std::logic_error("XilinxStream::read past end of stream");
     }
     return std::move(*value);
-  }
-
-  /// Blocking burst read into `out[0, count)`; returns elements delivered
-  /// (== count unless end-of-stream arrived first).
-  std::size_t read_n(T* out, std::size_t count) {
-    return stream_.pop_n(out, count);
   }
 
   bool read_nb(T& out) {

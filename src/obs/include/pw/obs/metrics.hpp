@@ -76,11 +76,6 @@ class MetricsRegistry {
   void observe(std::string_view name, double sample);
   HistogramSummary histogram(std::string_view name) const;  ///< zeroed when absent
 
-  /// Exact arbitrary quantile (q in [0,1]) of one histogram's raw samples —
-  /// the summary's fixed percentiles without waiting for a snapshot, at any
-  /// q a dashboard asks for. 0 when the histogram is absent or empty.
-  double histogram_quantile(std::string_view name, double q) const;
-
   /// Records a completed span. Also feeds the span's duration into the
   /// histogram of the same name, so repeated spans ("host/chunk/write" once
   /// per chunk) aggregate into quantiles for free.

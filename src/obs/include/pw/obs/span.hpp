@@ -28,9 +28,6 @@ class Span {
 
   const std::string& path() const noexcept { return path_; }
 
-  /// Seconds elapsed since construction (the span is still running).
-  double elapsed_s() const;
-
  private:
   MetricsRegistry* registry_;
   std::string path_;

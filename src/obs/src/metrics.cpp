@@ -96,20 +96,6 @@ HistogramSummary MetricsRegistry::histogram(std::string_view name) const {
   return it == histograms_.end() ? HistogramSummary{} : summarise(it->second);
 }
 
-double MetricsRegistry::histogram_quantile(std::string_view name,
-                                           double q) const {
-  std::vector<double> samples;
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      return 0.0;
-    }
-    samples = it->second;
-  }
-  return quantile(std::move(samples), q);
-}
-
 void MetricsRegistry::record_span(std::string path, double start_s,
                                   double duration_s, std::uint64_t thread,
                                   bool modelled) {

@@ -35,6 +35,4 @@ Span::~Span() {
   t_current_span = parent_;
 }
 
-double Span::elapsed_s() const { return registry_->now_s() - start_s_; }
-
 }  // namespace pw::obs

@@ -312,16 +312,6 @@ TEST(Scenarios, PositiveSuiteExhaustsClean) {
   }
 }
 
-TEST(Scenarios, MpmcFanInExhaustsClean) {
-  CheckOptions options;
-  options.max_preemptions = 2;
-  options.max_executions = 50000;
-  const ScenarioOutcome outcome = explore("mpmc.fanin_2x2", options);
-  EXPECT_FALSE(outcome.violation) << diags_text(outcome);
-  EXPECT_FALSE(outcome.truncated);
-  EXPECT_GT(outcome.executions, 5000u);
-}
-
 TEST(Scenarios, RandomWalkModeStaysClean) {
   CheckOptions options;
   options.max_preemptions = 4;

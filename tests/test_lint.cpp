@@ -656,6 +656,14 @@ TEST(LintCapacity, OneCapacityStreamMismatchIsCaught) {
   EXPECT_EQ(find_check(lint::run_checks(probed_pair(1, probe_of(stream))),
                        "capacity.live_mismatch"),
             nullptr);
+  // The other direction: a declared depth below the live capacity (whose
+  // ring rounds its slots up to 4) is a mismatch too.
+  dataflow::Stream<int> wider({.capacity = 3});
+  EXPECT_TRUE(has_check(lint::run_checks(probed_pair(2, probe_of(wider))),
+                        "capacity.live_mismatch", lint::Severity::kError));
+  EXPECT_EQ(find_check(lint::run_checks(probed_pair(3, probe_of(wider))),
+                       "capacity.live_mismatch"),
+            nullptr);
 }
 
 TEST(LintCapacity, ZeroDeclaredDepthSkipsTheComparison) {
@@ -671,16 +679,6 @@ TEST(LintCapacity, ZeroProbeCapacityMeansUnsampleable) {
   const auto report = lint::run_checks(
       probed_pair(4, [] { return lint::StreamProbe{0, 0, false}; }));
   EXPECT_EQ(find_check(report, "capacity.live_mismatch"), nullptr);
-}
-
-TEST(LintCapacity, MpmcStreamsAreCheckedToo) {
-  dataflow::Stream<int> stream(
-      {.capacity = 4, .policy = dataflow::StreamPolicy::kMpmc});
-  EXPECT_TRUE(has_check(lint::run_checks(probed_pair(2, probe_of(stream))),
-                        "capacity.live_mismatch", lint::Severity::kError));
-  EXPECT_EQ(find_check(lint::run_checks(probed_pair(4, probe_of(stream))),
-                       "capacity.live_mismatch"),
-            nullptr);
 }
 
 TEST(LintCapacity, StreamProbedAfterCloseStillReportsHonestly) {

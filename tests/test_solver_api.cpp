@@ -101,6 +101,30 @@ TEST(SolverApi, EverySolveCarriesAMetricsSnapshot) {
   }
 }
 
+TEST(SolverApi, RegistryCarriesNoHostTiming) {
+  // Wall-clock timing is SolveResult::seconds/gflops; a caller-supplied
+  // registry (e.g. the one bench/fig6_overlap exports as a model
+  // artefact) gets only values two runs of one solve agree on.
+  const Fixture f;
+  for (const api::Kernel kernel : api::kAllKernels) {
+    for (const api::Backend backend : api::kAllBackends) {
+      SCOPED_TRACE(std::string(api::to_string(kernel)) + "/" +
+                   api::to_string(backend));
+      obs::MetricsRegistry registry;
+      const auto result = run(f, backend, &registry, kernel);
+      ASSERT_TRUE(result.ok()) << result.message;
+      EXPECT_GT(result.seconds, 0.0);
+      for (const char* gauge : {"solve.seconds", "solve.gflops",
+                                "cpu_baseline.threads",
+                                "cpu_baseline.gflops"}) {
+        EXPECT_FALSE(registry.gauge(gauge).has_value()) << gauge;
+      }
+      EXPECT_EQ(registry.counter("solve.count"), 1u);
+      EXPECT_TRUE(registry.gauge("solve.cells").has_value());
+    }
+  }
+}
+
 TEST(SolverApi, KernelBackendsReportKernelCounters) {
   const Fixture f;
   const auto result = run(f, api::Backend::kFused);

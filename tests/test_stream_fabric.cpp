@@ -1,9 +1,9 @@
 // Stress and contract tests of the PR 6 lock-free stream fabric: the SPSC
-// and MPMC rings behind pw::dataflow::Stream, the TryPop end-of-stream
-// contract, batched/scalar interleaving, close-while-blocked under
-// concurrency, placement, and a differential check against the retained
-// MutexStream reference. Built into the TSan stage of ci.sh (label:
-// streams) — every threaded test here must be TSan-clean.
+// ring behind pw::dataflow::Stream, the TryPop end-of-stream contract,
+// batched/scalar interleaving, close-while-blocked under concurrency,
+// placement, and a differential check against the retained MutexStream
+// reference. Built into the TSan stage of ci.sh (label: streams) — every
+// threaded test here must be TSan-clean.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -55,16 +55,6 @@ TEST(SpscRing, ExactCapacityDespitePow2SlotRounding) {
   EXPECT_EQ(s.capacity(), 3u);
 }
 
-TEST(MpmcRing, DeclaredCapacityEnforcedWhenQuiescent) {
-  Stream<int> s({.capacity = 5, .policy = StreamPolicy::kMpmc});
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(s.try_push(i));
-  }
-  EXPECT_FALSE(s.try_push(5));
-  EXPECT_EQ(s.size(), 5u);
-  EXPECT_EQ(s.capacity(), 5u);
-}
-
 // Element lifetime: a stream destroyed while still holding elements (and a
 // ring whose slots wrapped many times) must destroy exactly the elements
 // it still owns — no leaks, no double-destruction. Counted instances give
@@ -103,18 +93,6 @@ TEST(SpscRing, NonTrivialElementLifetime) {
       }
     }
     EXPECT_GT(s.size(), 0u);  // destructor must reap the remainder
-  }
-  EXPECT_EQ(Counted::live.load(), 0);
-}
-
-TEST(MpmcRing, NonTrivialElementLifetime) {
-  Counted::live.store(0);
-  {
-    Stream<Counted> s({.capacity = 4, .policy = StreamPolicy::kMpmc});
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(s.push(Counted(i)));
-    }
-    s.pop();
   }
   EXPECT_EQ(Counted::live.load(), 0);
 }
@@ -389,51 +367,6 @@ TEST(StreamStress, SpscHighVolumeTinyCapacity) {
   EXPECT_EQ(static_cast<std::uint64_t>(sum), kCount * (kCount - 1) / 2);
 }
 
-// --- MPMC threaded stress ----------------------------------------------
-
-TEST(StreamStress, MpmcManyProducersManyConsumers) {
-  Stream<std::uint64_t> s(
-      {.capacity = 64, .policy = StreamPolicy::kMpmc, .name = "fabric.mpmc"});
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kPerProducer = 25000;
-
-  std::vector<std::thread> producers;
-  std::atomic<int> producers_left{kProducers};
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(s.push(static_cast<std::uint64_t>(p) * kPerProducer + i));
-      }
-      if (producers_left.fetch_sub(1) == 1) {
-        s.close();  // last producer out ends the stream
-      }
-    });
-  }
-  std::vector<std::thread> consumers;
-  std::atomic<std::uint64_t> total_popped{0};
-  std::atomic<std::uint64_t> total_sum{0};
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (auto v = s.pop()) {
-        total_popped.fetch_add(1, std::memory_order_relaxed);
-        total_sum.fetch_add(*v, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  for (auto& t : consumers) {
-    t.join();
-  }
-  const std::uint64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(total_popped.load(), n);
-  EXPECT_EQ(total_sum.load(), n * (n - 1) / 2);
-  EXPECT_EQ(s.stats().pushed, n);
-  EXPECT_EQ(s.stats().popped, n);
-}
-
 // --- differential: lock-free fabric vs the mutex reference -------------
 
 // The same randomly generated operation script applied to the new Stream
@@ -510,22 +443,28 @@ TEST(StreamStats, CountersTrackTrafficAndPublish) {
 TEST(Placement, DescribeAndFactories) {
   EXPECT_EQ(PlacementSpec::unpinned().describe(), "unpinned");
   EXPECT_EQ(PlacementSpec::core(3).describe(), "core 3");
-  EXPECT_EQ(PlacementSpec::numa_node(1).describe(), "numa 1");
   EXPECT_FALSE(PlacementSpec::unpinned().pinned());
   EXPECT_TRUE(PlacementSpec::core(0).pinned());
   EXPECT_GE(placement_cores(), 1);
 }
 
 TEST(Placement, ApplyCorePinIsBestEffort) {
-#if defined(__linux__)
   // Core 0 always exists; the index wraps modulo the online core count so
-  // any index is satisfiable.
-  ScopedPlacement pin(PlacementSpec::core(0));
-  EXPECT_TRUE(pin.applied());
-  ScopedPlacement wrap(PlacementSpec::core(placement_cores() + 5));
-  EXPECT_TRUE(wrap.applied());
+  // any index is satisfiable — the Xilinx frontend's round-robin pins and
+  // lint's placement.oversubscribed check both rely on the wrap.
+  ThreadedPipeline pipeline;
+  pipeline.add_stage("first", [] {}, PlacementSpec::core(0));
+  pipeline.add_stage("wrapped", [] {},
+                     PlacementSpec::core(placement_cores() + 5));
+  pipeline.run();
+  const auto& report = pipeline.placement_report();
+  ASSERT_EQ(report.size(), 2u);
+#if defined(__linux__)
+  EXPECT_TRUE(report[0].applied);
+  EXPECT_TRUE(report[1].applied);
 #else
-  EXPECT_FALSE(apply_placement(PlacementSpec::core(0)));
+  EXPECT_FALSE(report[0].applied);
+  EXPECT_FALSE(report[1].applied);
 #endif
 }
 
