@@ -11,9 +11,13 @@
 #                              holds every pw::stencil registry kernel on
 #                              every engine and backend bit-exact against
 #                              its scalar reference (StencilFuzz.*,
-#                              Stencil{Diffusion,Poisson}.AllBackends*),
-#                              and stages 4, 4b and 5 rerun that label
-#                              under ASan+UBSan, UBSan and TSan
+#                              Stencil{Diffusion,Poisson}.AllBackends*)
+#                              and the solver facade suite
+#                              (test_solver_api: recycled result buffers
+#                              rewritten in full, warm solves starting no
+#                              thread on the shared engine pool), and
+#                              stages 4, 4b and 5 rerun that label under
+#                              ASan+UBSan, UBSan and TSan
 #   3b. stream bench gate      bench/micro_streams relay -> BENCH_streams
 #                              .json, validated + budget-gated (SPSC >= 5x
 #                              faster than the mutex referee) by
@@ -58,7 +62,8 @@
 #                              (test_stream_fabric), the Stream contract,
 #                              ThreadedPipeline and CycleEngine suite
 #                              (test_dataflow) and the hls::XilinxStream /
-#                              IntelChannel adapters (test_hls); the check
+#                              IntelChannel adapters (test_hls); the
+#                              stencil label adds test_solver_api; the check
 #                              label includes the pwcheck smoke run. The
 #                              shard label adds the sharded solver's halo
 #                              pull lists (element offsets, negative on the
@@ -82,8 +87,11 @@
 #                              test_hls (the vendor stream adapters across
 #                              a producer and a consumer thread),
 #                              the stencil label drives the threaded /
-#                              multi-instance stencil engines plus the
-#                              mixed-kernel SolveService traffic and the
+#                              multi-instance stencil engines on the one
+#                              process-wide pool, the solver facade's
+#                              shared result free list (test_solver_api),
+#                              plus the mixed-kernel SolveService traffic
+#                              and the
 #                              shift-buffer ring suites (its in-place
 #                              windows are pointer arithmetic with
 #                              negative offsets, read by concurrent
@@ -162,8 +170,8 @@ cmake --build build-ubsan -j "$JOBS" --target \
   test_stream_fabric test_dataflow test_hls test_fault test_fault_chaos \
   test_backend_differential test_stencil test_check \
   test_shift_buffer test_kernel_equivalence test_precision test_vectorized \
-  test_ocl test_shard test_decomp test_fuzz_more test_integration pwserve \
-  pwcheck
+  test_ocl test_solver_api test_shard test_decomp test_fuzz_more \
+  test_integration pwserve pwcheck
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L streams
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
@@ -183,7 +191,7 @@ cmake --build build-tsan -j "$JOBS" --target \
   test_fault test_fault_chaos test_backend_differential test_stencil \
   test_shard test_decomp test_fuzz_more test_integration test_qos \
   test_shift_buffer test_kernel_equivalence test_precision test_vectorized \
-  test_ocl pwserve
+  test_ocl test_solver_api pwserve
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R '^Serve'
 TSAN_OPTIONS=halt_on_error=1 \

@@ -13,13 +13,16 @@ CpuRunStats CpuAdvectorBaseline::run(const grid::WindState& state,
   // rather than inside a pool worker.
   check_shapes(state, c, out);
   util::WallTimer timer;
-  util::parallel_for(*pool_, 0, state.u.nx(), [&](std::size_t lo,
-                                                  std::size_t hi) {
-    advect_reference_x_range(state, c, out, lo, hi);
-  });
+  const std::size_t ranges = ranges_ != 0 ? ranges_ : pool_->size();
+  util::parallel_for(
+      *pool_, 0, state.u.nx(),
+      [&](std::size_t lo, std::size_t hi) {
+        advect_reference_x_range(state, c, out, lo, hi);
+      },
+      1, ranges);
   CpuRunStats stats;
   stats.seconds = timer.seconds();
-  stats.threads = pool_->size();
+  stats.threads = ranges;
   stats.gflops =
       static_cast<double>(total_flops(state.u.dims())) / stats.seconds / 1e9;
   return stats;

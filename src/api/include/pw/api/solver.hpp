@@ -11,6 +11,7 @@
 
 #include "pw/advect/coefficients.hpp"
 #include "pw/advect/reference.hpp"
+#include "pw/api/result_free_list.hpp"
 #include "pw/grid/init.hpp"
 #include "pw/kernel/config.hpp"
 #include "pw/lint/diagnostic.hpp"
@@ -122,12 +123,20 @@ inline constexpr std::array<SolveError, 16> kAllSolveErrors = {
 
 struct ReferenceOptions {};
 
+/// The threaded backend: each pass splits X into `threads` ranges and runs
+/// them on util::ThreadPool::shared() (hardware_concurrency() workers,
+/// started once per process, inheriting the CPU affinity of the thread that
+/// first uses the pool), so a solve starts no thread of its own.
 struct CpuBaselineOptions {
-  std::size_t threads = 0;  ///< 0 = hardware_concurrency
+  std::size_t threads = 0;  ///< X-ranges per pass; 0 = hardware_concurrency
 };
 
 struct FusedOptions {};
 
+/// N shift-buffer kernel instances, each streaming one X slab as a task on
+/// util::ThreadPool::shared() (hardware_concurrency() workers, started once
+/// per process, inheriting the CPU affinity of the thread that first uses
+/// the pool); instances beyond the worker count wait for a free worker.
 struct MultiKernelOptions {
   std::size_t kernels = 4;  ///< concurrent kernel instance count
 };
@@ -359,6 +368,15 @@ class SolveFuture;    // pw/api/request.hpp
 /// for advection) + options into a SolveRequest and call solve(request)
 /// (blocking) or submit(request) (async, returns a SolveFuture). The
 /// positional solve(state, coefficients) remains as a thin wrapper.
+///
+/// Memory: a solver owns one ResultFreeList, shared by its copies. A solve
+/// writes into the spare buffer a dropped result of the same shape handed
+/// back (counter `solve.results_recycled`), else into a fresh one; its
+/// threaded passes run on util::ThreadPool::shared(). So a caller that
+/// drops each result before the next solve, as a serving loop does, solves
+/// on warm pages, and once warm solve() starts no thread (submit() still
+/// starts one per request). Solves may run concurrently on one solver (or
+/// its copies).
 class Solver {
  public:
   Solver() = default;
@@ -377,7 +395,8 @@ class Solver {
                     const advect::PwCoefficients& coefficients) const;
 
   /// Asynchronous solve: returns immediately with a SolveFuture that
-  /// becomes ready when the solve (run on its own thread) completes.
+  /// becomes ready when the solve (run on its own thread, on a copy of this
+  /// solver, so it shares the result buffers) completes.
   /// request.timeout, when non-zero, is enforced as a deadline; the future
   /// supports poll/wait/cancel. For many concurrent requests prefer
   /// pw::serve::SolveService, which adds admission control, batching and
@@ -395,6 +414,9 @@ class Solver {
 
  private:
   SolverOptions options_;
+  /// Shared with copies and with the deleters of published results.
+  std::shared_ptr<ResultFreeList> results_ =
+      std::make_shared<ResultFreeList>();
 };
 
 }  // namespace pw::api

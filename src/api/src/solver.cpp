@@ -392,11 +392,20 @@ SolveResult Solver::solve(const SolveRequest& request) const {
   obs::MetricsRegistry& registry =
       options.metrics != nullptr ? *options.metrics : local_registry;
 
-  advect::SourceTerms terms(dims);
+  std::unique_ptr<advect::SourceTerms> buffer;
   const auto wall_start = std::chrono::steady_clock::now();
   try {
     obs::Span solve_span(registry,
                          std::string("solve/") + to_string(backend));
+    // Every backend rewrites the whole interior of each field it returns
+    // (Poisson zeroes sv and sw), so a recycled buffer's stale interiors
+    // never show; its halos are zero like a fresh one's.
+    bool recycled = false;
+    buffer = results_->take(dims, recycled);
+    if (recycled) {
+      registry.counter_add("solve.results_recycled");
+    }
+    advect::SourceTerms& terms = *buffer;
     const stencil::EngineConfig engine = engine_config(options, &registry);
     if (backend == Backend::kHostOverlap) {
       // Every kernel's host_overlap: the Fig. 6 driver, each X-chunk's
@@ -415,9 +424,9 @@ SolveResult Solver::solve(const SolveRequest& request) const {
     } else if (backend == Backend::kReference) {
       advect::advect_reference(state, *request.coefficients, terms);
     } else if (backend == Backend::kCpuBaseline) {
-      util::ThreadPool pool(
+      const advect::CpuAdvectorBaseline baseline(
+          util::ThreadPool::shared(),
           options.backend.get_if<CpuBaselineOptions>()->threads);
-      const advect::CpuAdvectorBaseline baseline(pool);
       baseline.run(state, *request.coefficients, terms);
     } else {  // advection's f32 vectorized datapath
       kernel::run_kernel_vectorized_f32(state, *request.coefficients, terms,
@@ -430,6 +439,7 @@ SolveResult Solver::solve(const SolveRequest& request) const {
     // over on; anything else an engine throws is not, so it is kInternal.
     const bool device_fault =
         dynamic_cast<const fault::FaultError*>(&e) != nullptr;
+    results_->give_back(std::move(buffer));  // the next solve's
     registry.counter_add(device_fault ? "solve.backend_fault"
                                       : "solve.internal_error");
     SolveResult failed = error_result(
@@ -454,7 +464,7 @@ SolveResult Solver::solve(const SolveRequest& request) const {
   registry.counter_add(std::string("solve.kernel.") + to_string(kernel));
   registry.gauge_set("solve.cells", static_cast<double>(dims.cells()));
 
-  result.terms = std::make_shared<const advect::SourceTerms>(std::move(terms));
+  result.terms = results_->publish(std::move(buffer));
   result.metrics = registry.snapshot();
   return result;
 }
@@ -474,8 +484,8 @@ SolveFuture Solver::submit(SolveRequest request) const {
   // The worker references the state raw: the futures own it, and the last
   // future to drop it joins this thread (see SolveState::~SolveState), so
   // the state strictly outlives the thread.
-  raw->owned_thread =
-      std::thread([raw, deadline, request = std::move(request)] {
+  raw->owned_thread = std::thread(
+      [raw, deadline, solver = *this, request = std::move(request)] {
         const Backend backend = request.options.backend.backend();
         if (!raw->try_begin()) {
           raw->complete(error_result(SolveError::kCancelled, backend));
@@ -486,7 +496,7 @@ SolveFuture Solver::submit(SolveRequest request) const {
               error_result(SolveError::kDeadlineExceeded, backend));
           return;
         }
-        raw->complete(Solver(request.options).solve(request));
+        raw->complete(solver.solve(request));
       });
   return SolveFuture(std::move(state));
 }

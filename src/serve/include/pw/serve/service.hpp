@@ -285,8 +285,8 @@ class SolveService {
   util::ThreadPool& pool_for(api::Backend backend);
   fault::CircuitBreaker& breaker_for(api::Backend backend);
   /// One solve attempt on `backend` (the entry's request with the backend
-  /// swapped in), on the sharded solver when there is one. Consults the
-  /// "serve.solve.<backend>" fault site first.
+  /// swapped in), on the sharded solver when there is one, else on
+  /// solver_. Consults the "serve.solve.<backend>" fault site first.
   api::SolveResult attempt_solve(const ServeEntry& entry,
                                  const api::BackendSpec& backend);
   /// The full resilience ladder: breaker gate -> retry with backoff ->
@@ -304,6 +304,9 @@ class SolveService {
   FingerprintCache fingerprints_;
   std::unique_ptr<sched::Scheduler<ServeEntry>> queue_;
   std::unique_ptr<TieredResultCache> cache_;
+  /// Every single-device attempt's solver: its workers share its result
+  /// buffers, and its threaded passes run on the process-wide pool.
+  api::Solver solver_;
   std::unique_ptr<shard::ShardedSolver> sharded_;
   std::mutex shard_mutex_;  ///< one sharded solve at a time
   util::WallTimer uptime_;

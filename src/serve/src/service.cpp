@@ -446,7 +446,7 @@ api::SolveResult SolveService::attempt_solve(const ServeEntry& entry,
     std::lock_guard lock(shard_mutex_);
     result = sharded_->solve(request);
   } else {
-    result = api::Solver(request.options).solve(request);
+    result = solver_.solve(request);
   }
   metrics_->counter_add("serve.computed");
   return result;

@@ -98,9 +98,11 @@ struct ShardRunReport {
 /// from its neighbours' interiors (every halo cell rewritten, the
 /// Dirichlet zeros included) and runs its pass; the last pass writes the
 /// shard's extent of the result in place, and the hand-off's completion
-/// closes the last sweep. The result buffer is recycled: a solver keeps
+/// closes the last sweep. The result buffer is recycled through an
+/// api::ResultFreeList (counter `shard.results_recycled`): a solver keeps
 /// one spare, to which a result's buffer returns when its last reference
-/// drops (a result may outlive its solver).
+/// drops (a result may outlive its solver). The all-devices-dead CPU rung
+/// runs on a member api::Solver, which recycles its own results.
 ///
 /// Fault sites, consulted per shard: `shard.<device>.pass` before each
 /// shard's sweep pass and `shard.<device>.exchange` before each sweep's
@@ -139,7 +141,6 @@ class ShardedSolver {
 
  private:
   class ResidentPartition;
-  class ResultFreeList;
 
   api::SolveResult run_partition(const api::SolveRequest& request,
                                  const std::vector<std::size_t>& devices,
@@ -150,7 +151,9 @@ class ShardedSolver {
   obs::MetricsRegistry* metrics_;
   std::vector<bool> dead_;  ///< indexed by device id
   ShardRunReport report_;
-  std::shared_ptr<ResultFreeList> results_;  ///< shared with result deleters
+  /// Shared with result deleters.
+  std::shared_ptr<api::ResultFreeList> results_;
+  api::Solver cpu_;  ///< the CPU rung once every device is dead
   std::unique_ptr<ResidentPartition> partition_;  ///< null until a solve
 };
 

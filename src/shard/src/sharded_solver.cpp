@@ -228,56 +228,6 @@ api::SolveResult shard_failure(const std::exception_ptr& error,
 
 }  // namespace
 
-/// Result buffers for a solver's solves, so a solve writes into memory it
-/// has used before instead of a fresh, zero-filled 3-field result. It keeps
-/// at most one buffer: the partition is resident for one shape at a time,
-/// and one extra result on the benchmark shape is 7.8 MB. The deleter of a
-/// published result returns its buffer here; it reaches the list through a
-/// weak reference, so a result may outlive its solver (its buffer is then
-/// freed). Thread-safe: results are dropped on any thread.
-class ShardedSolver::ResultFreeList
-    : public std::enable_shared_from_this<ResultFreeList> {
- public:
-  /// A buffer of `dims`: the spare one when it has that shape (`recycled`
-  /// true: its interiors hold an earlier result), else a fresh, zeroed one.
-  std::unique_ptr<advect::SourceTerms> take(const grid::GridDims& dims,
-                                            bool& recycled) {
-    {
-      std::lock_guard lock(mutex_);
-      if (spare_ && spare_->su.dims() == dims) {
-        recycled = true;
-        return std::move(spare_);
-      }
-    }
-    recycled = false;
-    return std::make_unique<advect::SourceTerms>(dims);
-  }
-
-  /// `buffer` as a result's terms, handed back here when the last
-  /// reference drops.
-  std::shared_ptr<const advect::SourceTerms> publish(
-      std::unique_ptr<advect::SourceTerms> buffer) {
-    auto hand_back = [home = weak_from_this()](advect::SourceTerms* terms) {
-      std::unique_ptr<advect::SourceTerms> owned(terms);
-      if (const std::shared_ptr<ResultFreeList> list = home.lock()) {
-        list->give_back(std::move(owned));
-      }
-    };
-    return std::shared_ptr<const advect::SourceTerms>(buffer.release(),
-                                                      std::move(hand_back));
-  }
-
-  /// Keeps the newest buffer; one it replaces is freed outside the lock.
-  void give_back(std::unique_ptr<advect::SourceTerms> buffer) {
-    std::lock_guard lock(mutex_);
-    std::swap(spare_, buffer);
-  }
-
- private:
-  std::mutex mutex_;
-  std::unique_ptr<advect::SourceTerms> spare_;
-};
-
 /// Everything a solve needs that depends only on (grid dims, alive
 /// devices): the decomposition's extents and linted halo plan, each
 /// device's resident shard with its pull list, and one worker thread per
@@ -448,7 +398,7 @@ ShardedSolver::ShardedSolver(ShardOptions options)
     : options_(std::move(options)),
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : &own_metrics_),
-      results_(std::make_shared<ResultFreeList>()) {
+      results_(std::make_shared<api::ResultFreeList>()) {
   dead_.assign(std::max<std::size_t>(1, options_.devices), false);
 }
 
@@ -765,8 +715,7 @@ api::SolveResult ShardedSolver::solve(const api::SolveRequest& request) {
   metrics_->counter_add("shard.cpu_failovers");
   api::SolveRequest fallback = request;
   fallback.options.backend = api::Backend::kCpuBaseline;
-  api::Solver cpu;
-  api::SolveResult result = cpu.solve(fallback);
+  api::SolveResult result = cpu_.solve(fallback);
   result.degraded = true;
   result.attempts += attempts;
   result.metrics = metrics_->snapshot();

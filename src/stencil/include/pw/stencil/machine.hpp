@@ -26,15 +26,21 @@ namespace pw::stencil {
 /// construction (the property the differential tests assert per kernel).
 enum class Engine {
   kReference,      ///< serial direct pass (the readable oracle path)
-  kThreaded,       ///< X-partitioned direct pass on a ThreadPool
+  kThreaded,       ///< X-partitioned direct pass on the shared ThreadPool
   kFused,          ///< Fig. 2/3 shift-buffer streaming machine, one instance
   kMultiInstance,  ///< N concurrent shift-buffer instances over X slabs
 };
 
+/// How run_pass schedules a sweep. kThreaded and kMultiInstance split X
+/// into `threads` or `instances` ranges (0: one per hardware thread) and
+/// run them on util::ThreadPool::shared(), whose hardware_concurrency()
+/// workers are started once per process and inherit the CPU affinity of
+/// the thread that first uses the pool; the calling thread waits. The
+/// range count, not the worker count, fixes the partition and PassStats.
 struct EngineConfig {
   Engine engine = Engine::kReference;
   std::size_t chunk_y = 64;   ///< Y-chunking of the shift-buffer engines
-  std::size_t threads = 0;    ///< kThreaded worker count (0 = hardware)
+  std::size_t threads = 0;    ///< kThreaded X-ranges (0 = hardware)
   std::size_t instances = 4;  ///< kMultiInstance kernel instances
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -84,9 +90,10 @@ PassStats run_pass(const StencilSpec& spec,
     case Engine::kThreaded:
     case Engine::kMultiInstance: {
       const bool streaming = config.engine == Engine::kMultiInstance;
+      util::ThreadPool& pool = util::ThreadPool::shared();
       const std::size_t parts = streaming ? config.instances : config.threads;
-      util::ThreadPool pool(parts);
-      const auto ranges = kernel::partition_x(dims.nx, pool.size());
+      const auto ranges =
+          kernel::partition_x(dims.nx, parts != 0 ? parts : pool.size());
       std::vector<PassStats> partial(ranges.size());
       std::vector<std::future<void>> done;
       done.reserve(ranges.size());
@@ -100,9 +107,7 @@ PassStats run_pass(const StencilSpec& spec,
           }
         }));
       }
-      for (std::future<void>& f : done) {
-        f.get();
-      }
+      util::wait_all(done);
       for (const PassStats& p : partial) {
         stats += p;
       }

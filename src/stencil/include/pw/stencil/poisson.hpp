@@ -74,12 +74,17 @@ using PoissonSweep = std::function<PassStats(const kernel::InViews<2>&,
 
 /// `iterations` Jacobi sweeps, each one call of `sweep` from one ping-pong
 /// guess field into the other, the last into out.su. The guesses are
-/// out.sv and out.sw, so a solve allocates no scratch: both are zeroed
-/// first, which gives them the Dirichlet-zero halos the boundary rule asks
-/// for (a sweep writes interiors only), and zeroed again at the end. The
-/// right-hand side is read in place from state.v (PoissonOp reads only its
-/// centre). This is the one sweep loop: the machine engines and the host
-/// driver (one host round per sweep) both run it.
+/// out.sv and out.sw, so a solve allocates no scratch. The right-hand side
+/// is read in place from state.v (PoissonOp reads only its centre). This is
+/// the one sweep loop: the machine engines and the host driver (one host
+/// round per sweep) both run it.
+///
+/// Zero-halo contract: every halo cell of `out` must read 0.0 on entry —
+/// the Dirichlet-zero halos the guesses need. Every SourceTerms is built
+/// so, and no pass writes an output halo, so a recycled result buffer
+/// keeps them; its interiors may hold anything, since the first guess is
+/// copied in and each sweep rewrites its target's whole interior. sv and sw
+/// are zeroed at the end.
 PassStats run_poisson(const grid::WindState& state,
                       const PoissonParams& params, advect::SourceTerms& out,
                       const PoissonSweep& sweep);

@@ -25,17 +25,15 @@ const StencilSpec& poisson_spec() {
 
 namespace {
 
-/// Interior-only copy; halos of `dst` are left untouched (they stay at the
-/// Dirichlet zero the field constructor established).
+/// Interior-only copy, one contiguous z-column per (i, j); halos of `dst`
+/// are left untouched (they stay at the Dirichlet zero every field is
+/// built with).
 void copy_interior(const grid::FieldD& src, grid::FieldD& dst) {
   const grid::GridDims dims = src.dims();
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(dims.nx); ++i) {
     for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(dims.ny);
          ++j) {
-      for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(dims.nz);
-           ++k) {
-        dst.at(i, j, k) = src.at(i, j, k);
-      }
+      std::copy_n(&src.at(i, j, 0), dims.nz, &dst.at(i, j, 0));
     }
   }
 }
@@ -87,10 +85,10 @@ PassStats run_poisson_sweep(const grid::WindState& state,
 PassStats run_poisson(const grid::WindState& state,
                       const PoissonParams& params, advect::SourceTerms& out,
                       const PoissonSweep& sweep) {
+  // The guesses' halos are zero already (see the header's contract), and
+  // each sweep writes its target's whole interior before the next reads it.
   grid::FieldD* guess = &out.sv;
   grid::FieldD* next = &out.sw;
-  guess->fill(0.0);
-  next->fill(0.0);
   copy_interior(state.u, *guess);
 
   PassStats total;

@@ -8,18 +8,22 @@
 
 namespace pw::util {
 
-/// Splits [begin, end) into roughly equal contiguous ranges, one per worker,
-/// and invokes `body(range_begin, range_end)` on the pool. Blocks until all
-/// ranges complete. Degenerates to a direct call when the range is tiny or
-/// the pool has a single worker.
+/// Splits [begin, end) into `parts` roughly equal contiguous ranges (0: one
+/// per pool worker) and invokes `body(range_begin, range_end)` on the pool.
+/// Blocks until all ranges complete; the first exception a range throws is
+/// rethrown once every range has finished. Degenerates to a direct call
+/// when the range is tiny or there is a single part.
 template <typename Body>
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  Body&& body, std::size_t min_grain = 1) {
+                  Body&& body, std::size_t min_grain = 1,
+                  std::size_t parts = 0) {
   if (begin >= end) {
     return;
   }
   const std::size_t total = end - begin;
-  std::size_t parts = pool.size();
+  if (parts == 0) {
+    parts = pool.size();
+  }
   if (parts <= 1 || total <= min_grain) {
     body(begin, end);
     return;
@@ -37,9 +41,7 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     const std::size_t hi = std::min(end, lo + chunk);
     futures.push_back(pool.submit([&body, lo, hi] { body(lo, hi); }));
   }
-  for (auto& future : futures) {
-    future.get();
-  }
+  wait_all(futures);
 }
 
 }  // namespace pw::util

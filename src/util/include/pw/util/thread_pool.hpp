@@ -14,10 +14,13 @@ namespace pw::util {
 
 /// Fixed-size worker pool with per-worker task deques and work stealing.
 ///
-/// Used by the CPU advection baseline, the threaded dataflow executor and
-/// the serve layer's per-backend worker pools. Tasks are arbitrary
-/// `void()` callables; submit() returns a future that becomes ready when
-/// the task completes (exceptions propagate through it).
+/// One process-wide instance, shared(), runs every threaded engine pass
+/// (stencil::Engine::kThreaded and kMultiInstance, advection's
+/// cpu_baseline); the serve layer builds its own per-backend worker pools.
+/// Tasks are arbitrary `void()` callables; submit() returns a future that
+/// becomes ready when the task completes (exceptions propagate through it).
+/// A task must not wait on work queued to its own pool: with every worker
+/// waiting, nothing is left to run what they wait for.
 ///
 /// Scheduling: submit() places tasks round-robin across worker deques;
 /// submit_on() pins a task to one worker (batch affinity — consecutive
@@ -26,6 +29,10 @@ namespace pw::util {
 /// loaded sibling. Coordination is a single mutex — deterministic and
 /// sanitizer-friendly rather than lock-free; the tasks this pool runs are
 /// orders of magnitude longer than the handoff.
+///
+/// Workers are started in the constructor and inherit the CPU affinity of
+/// the thread that constructs the pool; for shared(), that is the thread
+/// that first uses it.
 class ThreadPool {
 public:
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
@@ -36,6 +43,15 @@ public:
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const noexcept { return workers_.size(); }
+
+  /// The process-wide engine pool: hardware_concurrency() workers, built
+  /// on first use and joined at exit. Threaded passes hand it their
+  /// X-ranges, so a warm process starts no thread per pass or per solve.
+  static ThreadPool& shared();
+
+  /// Workers started by every pool of this process so far. Tests read it
+  /// to show that warm solves start no thread.
+  static std::uint64_t workers_started() noexcept;
 
   /// Enqueues a task for execution on some worker (round-robin placement,
   /// any idle worker may steal it).
@@ -75,5 +91,10 @@ private:
   std::uint64_t stolen_ = 0;
   bool stop_ = false;
 };
+
+/// Waits for every future, then rethrows the first exception any of them
+/// carried: tasks that read the caller's stack must all have finished
+/// before the caller unwinds.
+void wait_all(std::vector<std::future<void>>& futures);
 
 }  // namespace pw::util

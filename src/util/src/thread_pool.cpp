@@ -1,8 +1,41 @@
 #include "pw/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace pw::util {
+
+namespace {
+
+std::atomic<std::uint64_t> g_workers_started{0};
+
+}  // namespace
+
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool pool(0);
+  return pool;
+}
+
+std::uint64_t ThreadPool::workers_started() noexcept {
+  return g_workers_started.load(std::memory_order_relaxed);
+}
+
+void wait_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first;
+  for (std::future<void>& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first) {
+        first = std::current_exception();
+      }
+    }
+  }
+  if (first) {
+    std::rethrow_exception(first);
+  }
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -12,6 +45,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
+    g_workers_started.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

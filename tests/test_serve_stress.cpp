@@ -34,8 +34,13 @@ TEST(ServeStress, ConcurrentSubmittersMixedBackends) {
   serve::TraceSpec spec;
   spec.requests = kThreads * kPerThread;
   spec.shapes = {{16, 16, 16}, {12, 20, 8}};
+  // cpu_baseline and multi_kernel passes from every worker share the
+  // process-wide engine pool, and their results the service's one free
+  // list; Poisson runs eight passes per solve.
   spec.backends = {api::Backend::kReference, api::Backend::kFused,
-                   api::Backend::kCpuBaseline};
+                   api::Backend::kCpuBaseline, api::Backend::kMultiKernel};
+  spec.kernels = {api::Kernel::kAdvectPw, api::Kernel::kDiffusion,
+                  api::Kernel::kPoissonJacobi};
   spec.repeat_fraction = 0.5;
   const auto trace = serve::make_trace(spec);
 

@@ -906,6 +906,49 @@ TEST(ShardResult, HeldResultsAreDistinctAndDroppedOnesRecycled) {
   EXPECT_EQ(retried.attempts, 2u);
   EXPECT_EQ(recycled(), 3u);
   expect_bit_exact(api::Solver().solve(diffusion), retried);
+
+  // The same free list behind api::Solver, whose failed attempt hands its
+  // buffer to the next solve.
+  obs::MetricsRegistry registry;
+  api::SolveRequest single_advection = advection;
+  api::SolveRequest single_diffusion = diffusion;
+  single_advection.options.metrics = &registry;
+  single_diffusion.options.metrics = &registry;
+  const api::Solver single;
+  const auto single_recycled = [&] {
+    return registry.counter("solve.results_recycled");
+  };
+
+  const api::SolveResult held = single.solve(single_advection);
+  api::SolveResult next = single.solve(single_diffusion);
+  ASSERT_TRUE(held.ok() && next.ok());
+  EXPECT_NE(held.terms.get(), next.terms.get());
+  EXPECT_EQ(single_recycled(), 0u);
+
+  const advect::SourceTerms* const single_dropped = next.terms.get();
+  next = {};
+  next = single.solve(single_advection);
+  EXPECT_EQ(single_recycled(), 1u);
+  EXPECT_EQ(next.terms.get(), single_dropped);
+  expect_bit_exact(held, next);
+
+  next = {};
+  fault::FaultPlan pass_fault;
+  fault::FaultRule rule;
+  rule.site = "stencil.diffusion.pass";
+  rule.kind = fault::FaultKind::kKernelTimeout;
+  rule.count = 1;
+  pass_fault.rules.push_back(rule);
+  fault::FaultInjector pass_injector(pass_fault);
+  {
+    fault::ScopedArm arm(pass_injector);
+    EXPECT_EQ(single.solve(single_diffusion).error,
+              api::SolveError::kBackendFault);
+  }
+  next = single.solve(single_diffusion);
+  EXPECT_EQ(single_recycled(), 3u);
+  EXPECT_EQ(next.terms.get(), single_dropped);
+  expect_bit_exact(retried, next);
 }
 
 /// Whether every interior value of `field` is +0.0.
@@ -942,6 +985,28 @@ TEST(ShardResult, PoissonAfterAdvectionHasZeroSvSw) {
     EXPECT_TRUE(interior_is_zero(solved.terms->sw));
     expect_bit_exact(single, solved);
   }
+
+  // api::Solver recycles the advection buffer the same way.
+  obs::MetricsRegistry registry;
+  const api::Solver solver;
+  api::SolveRequest advected_request = advection;
+  api::SolveRequest poisson_request = poisson;
+  advected_request.options.metrics = &registry;
+  poisson_request.options.metrics = &registry;
+  const advect::SourceTerms* buffer = nullptr;
+  {
+    const api::SolveResult advected = solver.solve(advected_request);
+    ASSERT_TRUE(advected.ok());
+    ASSERT_FALSE(interior_is_zero(advected.terms->sv));
+    buffer = advected.terms.get();
+  }
+  const api::SolveResult solved = solver.solve(poisson_request);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(registry.counter("solve.results_recycled"), 1u);
+  EXPECT_EQ(solved.terms.get(), buffer);
+  EXPECT_TRUE(interior_is_zero(solved.terms->sv));
+  EXPECT_TRUE(interior_is_zero(solved.terms->sw));
+  expect_bit_exact(single, solved);
 }
 
 TEST(ShardResult, OutlivesItsSolver) {
@@ -960,6 +1025,22 @@ TEST(ShardResult, OutlivesItsSolver) {
   expect_bit_exact(api::Solver().solve(request), kept);
   kept.terms.reset();
   EXPECT_EQ(kept.terms, nullptr);
+
+  // So may an api::Solver's, including one solved on a submit copy.
+  api::SolveResult direct;
+  api::SolveResult submitted;
+  {
+    const api::Solver solver;
+    direct = solver.solve(request);
+    submitted = solver.submit(request).wait();
+  }
+  ASSERT_TRUE(direct.ok() && submitted.ok());
+  EXPECT_NE(direct.terms.get(), submitted.terms.get());
+  const api::SolveResult fresh = api::Solver().solve(request);
+  expect_bit_exact(fresh, direct);
+  expect_bit_exact(fresh, submitted);
+  direct.terms.reset();
+  submitted.terms.reset();
 }
 
 // ---------------------------------------------------------------------------

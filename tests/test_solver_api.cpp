@@ -1,23 +1,34 @@
 // Tests for the unified solver facade: every double-precision backend must
 // produce bit-identical source terms on a fixed grid, invalid options must
-// come back as typed errors (not asserts), and every solve must carry a
-// metrics snapshot.
+// come back as typed errors (not asserts), every solve must carry a
+// metrics snapshot, and a solver's recycled result buffers and the shared
+// engine pool must leave results bit-exact and start no thread once warm.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "pw/advect/coefficients.hpp"
 #include "pw/advect/flops.hpp"
 #include "pw/api/request.hpp"
 #include "pw/api/solver.hpp"
+#include "pw/fault/fault.hpp"
+#include "pw/fault/injector.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/grid/init.hpp"
 #include "pw/serve/service.hpp"
+#include "pw/shard/sharded_solver.hpp"
+#include "pw/stencil/diffusion.hpp"
+#include "pw/stencil/poisson.hpp"
 #include "pw/stencil/spec.hpp"
+#include "pw/util/thread_pool.hpp"
 
 namespace {
 
@@ -35,9 +46,8 @@ struct Fixture {
   }
 };
 
-api::SolveResult run(const Fixture& f, api::Backend backend,
-                     obs::MetricsRegistry* metrics = nullptr,
-                     api::Kernel kernel = api::Kernel::kAdvectPw) {
+api::SolverOptions options_for(api::Backend backend, api::Kernel kernel,
+                               obs::MetricsRegistry* metrics) {
   api::SolverOptions options;
   if (backend == api::Backend::kHostOverlap) {
     api::HostOptions host;
@@ -49,7 +59,14 @@ api::SolveResult run(const Fixture& f, api::Backend backend,
   options.kernel_spec = kernel;
   options.kernel.chunk_y = 8;
   options.metrics = metrics;
-  return api::Solver(options).solve(f.state, f.coefficients);
+  return options;
+}
+
+api::SolveResult run(const Fixture& f, api::Backend backend,
+                     obs::MetricsRegistry* metrics = nullptr,
+                     api::Kernel kernel = api::Kernel::kAdvectPw) {
+  return api::Solver(options_for(backend, kernel, metrics))
+      .solve(f.state, f.coefficients);
 }
 
 TEST(SolverApi, DoubleBackendsAreBitIdentical) {
@@ -432,6 +449,258 @@ TEST(SolverApi, AdvectionRequestWithoutCoefficientsIsRejected) {
   request.options = options;
   const auto result = api::Solver(options).solve(request);
   EXPECT_TRUE(result.ok()) << result.message;
+}
+
+// ---------------------------------------------------------------------------
+// Owned memory: recycled result buffers and the process-wide engine pool.
+
+/// Every kernel x backend request on `state`, kernels outermost.
+std::vector<api::SolveRequest> all_pairs(
+    const std::shared_ptr<const grid::WindState>& state,
+    const std::shared_ptr<const advect::PwCoefficients>& coefficients,
+    obs::MetricsRegistry* metrics = nullptr) {
+  std::vector<api::SolveRequest> requests;
+  for (const api::Kernel kernel : api::kAllKernels) {
+    for (const api::Backend backend : api::kAllBackends) {
+      requests.push_back(api::make_request(
+          state, coefficients, options_for(backend, kernel, metrics)));
+    }
+  }
+  return requests;
+}
+
+/// `request`'s kernel by its scalar reference.
+advect::SourceTerms reference_terms(const api::SolveRequest& request) {
+  const grid::WindState& state = *request.state;
+  const api::KernelSpec& spec = request.options.kernel_spec;
+  advect::SourceTerms out(state.u.dims());
+  switch (spec.kernel()) {
+    case api::Kernel::kAdvectPw:
+      advect::advect_reference(state, *request.coefficients, out);
+      break;
+    case api::Kernel::kDiffusion:
+      stencil::diffusion_reference(
+          state, *spec.get_if<api::DiffusionOptions>(), out);
+      break;
+    case api::Kernel::kPoissonJacobi:
+      stencil::poisson_reference(state, *spec.get_if<api::PoissonOptions>(),
+                                 out);
+      break;
+  }
+  return out;
+}
+
+/// Calls visit(i, j, k, interior) on every interior cell of `field`, and
+/// on every halo cell too when `halo` is set.
+template <typename Visit>
+void for_each_cell(const grid::FieldD& field, bool halo, const Visit& visit) {
+  const auto h = static_cast<std::ptrdiff_t>(halo ? field.halo() : 0);
+  const auto nx = static_cast<std::ptrdiff_t>(field.nx());
+  const auto ny = static_cast<std::ptrdiff_t>(field.ny());
+  const auto nz = static_cast<std::ptrdiff_t>(field.nz());
+  for (std::ptrdiff_t i = -h; i < nx + h; ++i) {
+    for (std::ptrdiff_t j = -h; j < ny + h; ++j) {
+      for (std::ptrdiff_t k = -h; k < nz + h; ++k) {
+        const bool interior = i >= 0 && i < nx && j >= 0 && j < ny &&
+                              k >= 0 && k < nz;
+        visit(i, j, k, interior);
+      }
+    }
+  }
+}
+
+/// Halo cells of `field` that do not read 0.0.
+std::size_t nonzero_halo_cells(const grid::FieldD& field) {
+  std::size_t count = 0;
+  for_each_cell(field, true, [&](auto i, auto j, auto k, bool interior) {
+    count += !interior && field.at(i, j, k) != 0.0 ? 1 : 0;
+  });
+  return count;
+}
+
+/// Interior cells where `a` and `b` differ by more than `tolerance`; a NaN
+/// in either counts.
+std::size_t cells_apart(const grid::FieldD& a, const grid::FieldD& b,
+                        double tolerance) {
+  std::size_t count = 0;
+  for_each_cell(a, false, [&](auto i, auto j, auto k, bool) {
+    count += std::fabs(a.at(i, j, k) - b.at(i, j, k)) <= tolerance ? 0 : 1;
+  });
+  return count;
+}
+
+/// Writes NaN over every interior cell of a result about to be dropped,
+/// so a cell the next solve on its buffer fails to rewrite cannot pass.
+void poison_interiors(const advect::SourceTerms& terms) {
+  auto& owned = const_cast<advect::SourceTerms&>(terms);
+  for (grid::FieldD* field : {&owned.su, &owned.sv, &owned.sw}) {
+    for_each_cell(*field, false, [&](auto i, auto j, auto k, bool) {
+      field->at(i, j, k) = std::numeric_limits<double>::quiet_NaN();
+    });
+  }
+}
+
+TEST(SolverApi, RecycledResultBuffersAreRewrittenInFull) {
+  // One solver runs every kernel x backend pair, three rounds per grid
+  // shape, dropping each result before the next solve: every solve after
+  // the first of a shape writes into the buffer the previous one handed
+  // back, poisoned with NaN, whatever kernel last used it.
+  obs::MetricsRegistry registry;
+  const api::Solver solver;
+  const auto recycled = [&] {
+    return registry.counter("solve.results_recycled");
+  };
+  std::uint64_t solves = 0;
+  std::uint64_t shapes = 0;
+  std::vector<api::SolveRequest> requests;
+  for (const grid::GridDims dims :
+       {grid::GridDims{16, 16, 16}, grid::GridDims{13, 9, 7}}) {
+    auto state = std::make_shared<grid::WindState>(dims);
+    grid::init_random(*state, 2027);
+    requests = all_pairs(
+        state,
+        std::make_shared<const advect::PwCoefficients>(
+            advect::PwCoefficients::from_geometry(
+                grid::Geometry::uniform(dims, 100.0, 100.0, 50.0))),
+        &registry);
+    std::vector<advect::SourceTerms> references;
+    for (const api::SolveRequest& request : requests) {
+      references.push_back(reference_terms(request));
+    }
+    ++shapes;
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t r = 0; r < requests.size(); ++r) {
+        const api::SolverOptions& options = requests[r].options;
+        SCOPED_TRACE(std::string(api::to_string(options.kernel_spec)) + "/" +
+                     api::to_string(options.backend) + " round " +
+                     std::to_string(round) + " nx " + std::to_string(dims.nx));
+        const api::SolveResult result = solver.solve(requests[r]);
+        ++solves;
+        ASSERT_TRUE(result.ok()) << result.message;
+        const bool f32 = options.kernel_spec == api::Kernel::kAdvectPw &&
+                         options.backend == api::Backend::kVectorized;
+        const advect::SourceTerms& want = references[r];
+        const advect::SourceTerms& got = *result.terms;
+        for (const auto field : {&advect::SourceTerms::su,
+                                 &advect::SourceTerms::sv,
+                                 &advect::SourceTerms::sw}) {
+          if (f32) {
+            EXPECT_EQ(cells_apart(want.*field, got.*field, 1e-3), 0u);
+          } else {
+            EXPECT_TRUE(
+                grid::compare_interior(want.*field, got.*field).bit_equal());
+          }
+          EXPECT_EQ(nonzero_halo_cells(got.*field), 0u);
+        }
+        poison_interiors(got);
+      }
+    }
+    EXPECT_EQ(recycled(), solves - shapes);
+  }
+
+  // A failed attempt hands its buffer back: the next solve gets it.
+  const api::SolveRequest& diffusion =
+      requests[api::kAllBackends.size() + 2];  // diffusion on fused
+  ASSERT_EQ(diffusion.options.backend, api::Backend::kFused);
+  const advect::SourceTerms* spare = nullptr;
+  {
+    const api::SolveResult warm = solver.solve(diffusion);
+    ASSERT_TRUE(warm.ok());
+    spare = warm.terms.get();
+    poison_interiors(*warm.terms);
+  }
+  fault::FaultPlan plan;
+  fault::FaultRule rule;
+  rule.site = "stencil.diffusion.pass";
+  rule.kind = fault::FaultKind::kKernelTimeout;
+  rule.count = 1;
+  plan.rules.push_back(rule);
+  fault::FaultInjector injector(plan);
+  const std::uint64_t before = recycled();
+  {
+    fault::ScopedArm arm(injector);
+    const api::SolveResult failed = solver.solve(diffusion);
+    EXPECT_EQ(failed.error, api::SolveError::kBackendFault);
+    EXPECT_EQ(failed.terms, nullptr);
+  }
+  const api::SolveResult next = solver.solve(diffusion);
+  ASSERT_TRUE(next.ok()) << next.message;
+  EXPECT_EQ(next.terms.get(), spare);
+  EXPECT_EQ(recycled(), before + 2);  // the failed attempt took it too
+  const advect::SourceTerms want = reference_terms(diffusion);
+  EXPECT_TRUE(grid::compare_interior(want.su, next.terms->su).bit_equal());
+  EXPECT_TRUE(grid::compare_interior(want.sw, next.terms->sw).bit_equal());
+}
+
+TEST(SolverApi, WarmSolvesStartNoThread) {
+  // Threaded and multi-instance passes run on the process-wide pool, so
+  // once warm no solve starts a thread: not on one Solver, not on a
+  // service's workers, not on a sharded solver's shards.
+  const Fixture f;
+  const auto state = std::make_shared<const grid::WindState>(f.state);
+  const auto coefficients =
+      std::make_shared<const advect::PwCoefficients>(f.coefficients);
+  const std::vector<api::SolveRequest> requests =
+      all_pairs(state, coefficients);
+  std::vector<api::SolveRequest> served;
+  for (const api::SolveRequest& request : requests) {
+    const api::Backend backend = request.options.backend.backend();
+    if (backend == api::Backend::kCpuBaseline ||
+        backend == api::Backend::kMultiKernel) {
+      served.push_back(request);
+    }
+  }
+  api::SolverOptions poisson;
+  poisson.backend = api::Backend::kCpuBaseline;
+  poisson.kernel_spec = api::PoissonOptions{.iterations = 16};
+  const api::SolveRequest sharded_request = api::make_request(state, poisson);
+
+  const api::Solver solver;
+  serve::ServiceConfig config;
+  config.workers_per_backend = 2;
+  config.result_cache = false;
+  serve::SolveService service(config);
+  shard::ShardOptions shard_options;
+  shard_options.devices = 4;
+  shard::ShardedSolver sharded(shard_options);
+
+  // One warm cycle: the shared pool, the service's per-backend worker
+  // pools and the sharded solver's resident partition are built here.
+  for (const api::SolveRequest& request : requests) {
+    ASSERT_TRUE(solver.solve(request).ok());
+  }
+  for (const api::SolveRequest& request : served) {
+    ASSERT_TRUE(service.submit(request).wait().ok());
+  }
+  ASSERT_TRUE(sharded.solve(sharded_request).ok());
+  EXPECT_EQ(util::ThreadPool::shared().size(),
+            std::max(1u, std::thread::hardware_concurrency()));
+  const std::uint64_t started = util::ThreadPool::workers_started();
+  EXPECT_GT(started, 0u);
+
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    for (const api::SolveRequest& request : requests) {
+      ASSERT_TRUE(solver.solve(request).ok());
+    }
+  }
+  EXPECT_EQ(util::ThreadPool::workers_started(), started);
+
+  std::vector<api::SolveFuture> futures;
+  for (int copy = 0; copy < 6; ++copy) {
+    for (const api::SolveRequest& request : served) {
+      futures.push_back(service.submit(request));
+    }
+  }
+  ASSERT_EQ(futures.size(), 36u);
+  for (const api::SolveFuture& future : futures) {
+    EXPECT_TRUE(future.wait().ok());
+  }
+  EXPECT_EQ(util::ThreadPool::workers_started(), started);
+
+  ASSERT_TRUE(sharded.solve(sharded_request).ok());
+  EXPECT_EQ(sharded.last_report().devices_used, 4u);
+  EXPECT_EQ(sharded.last_report().sweeps, 16u);
+  EXPECT_EQ(util::ThreadPool::workers_started(), started);
 }
 
 }  // namespace
